@@ -73,16 +73,20 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def _cmd_qform(args, config: Config) -> int:
     space = _parse_json(args.space, qform.QuadraticSpace.from_json)
+    compute = {"brown": qform.brown, "split": qform.is_split,
+               "table": qform.q_table}[args.action]
+    try:
+        value = compute(space, config)
+    except qform.DimensionCapError as exc:
+        raise _CliError(2, f"{args.space}: {exc}") from exc
     if args.action == "brown":
-        value = qform.brown(space, config)
         _emit(args, {"dim": space.dim, "brown": value},
               f"brown = {value} (dim {space.dim})")
     elif args.action == "split":
-        flag = qform.is_split(space, config)
-        _emit(args, {"dim": space.dim, "split": flag},
-              f"split: {'yes' if flag else 'no'}")
+        _emit(args, {"dim": space.dim, "split": value},
+              f"split: {'yes' if value else 'no'}")
     else:
-        table = qform.q_table(space).tolist()
+        table = value.tolist()
         _emit(args, {"dim": space.dim, "q": table},
               "q values on F_2^n (vector index order): "
               + " ".join(str(v) for v in table))
@@ -134,12 +138,7 @@ def _cmd_family(args, config: Config) -> int:
 def _cmd_numtopo(args, config: Config) -> int:
     m = _parse_half(args.m)
     if args.action == "degree":
-        from .geometry import column_m1, column_m1_jacobian
-        mval = m.value
-        value = (0.0, 1.0, 0.0, 0.0) if m.twice == 2 else (0.0, 0.0, 1.0, 0.0)
-        deg = numtopo.degree_S3(
-            lambda t, r, p: column_m1(mval, t, r, p), value, config,
-            jac_fn=lambda t, r, p: column_m1_jacobian(mval, t, r, p))
+        deg = invariants.first_column_degree(m, config)
         expected = 2 - m.twice
         _emit(args, {"m": str(m), "degree": deg.value,
                      "preimages": deg.count, "expected": expected},
@@ -147,16 +146,7 @@ def _cmd_numtopo(args, config: Config) -> int:
               f"closed form {expected}")
         return 0 if deg.value == expected else 1
     if args.action == "hopf":
-        from .geometry import column_n1
-        fam = FamilyMap(m, config=config)
-
-        def to_sphere(curve):
-            return fam.torus_coords_point(curve[:, 0], curve[:, 1],
-                                          curve[:, 2])
-
-        v = numtopo.hopf_invariant(
-            column_n1, config, domain="param", to_sphere=to_sphere,
-            values=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)))
+        v = invariants.second_column_hopf(m, config)
         _emit(args, {"m": str(m), "hopf": v, "expected": -1},
               f"hopf invariant = {v}; closed form -1")
         return 0 if v == -1 else 1

@@ -1,9 +1,14 @@
 """Shared configuration: tolerances, grid sizes, geometry parameters, conventions.
 
-All caps and tolerances used by the numerical engines live here so that no
-engine hard-codes them.  A config can be loaded from a flat ``key = value``
-file; the ``GENIMM_CONFIG`` environment variable overrides the default config
-path only, never individual values.
+Every field here is read by some engine, and a config file naming a key
+that is not a field is rejected.  Some engines still hard-code constants:
+the 0.35/0.2 grid thresholds in ``degree_S3``, the 1e-6 dedupe radius of
+converged solutions, the 400-seed caps of the fiber finders, the
+0.25/0.08/0.025 chain seed radii and 60,000/150,000 chain sample sizes,
+the 600-seed and 80-solution caps of ``solve_self_intersection``, the 1e-5
+fan-edge margin and the 8e-3 framing shift.  A config can be loaded from a flat
+``key = value`` file; the ``GENIMM_CONFIG`` environment variable overrides
+the default config path only, never individual values.
 """
 
 from __future__ import annotations
@@ -24,10 +29,8 @@ class Config:
     degree_grid: int = 64            # seeds per axis for degree preimage search
     newton_tol: float = 1e-10        # residual target for Newton/Gauss-Newton
     newton_max_iter: int = 60
-    cluster_radius: float = 1e-6     # dedup radius for converged solutions
     jacobian_min_det: float = 1e-6   # regular-value check threshold
     fd_step: float = 1e-6            # finite-difference step for Jacobians
-    rank_fd_step: float = 1e-5       # finite-difference step for rank probes
 
     # fiber tracing (Hopf invariant)
     trace_step: float = 1e-2
@@ -36,16 +39,12 @@ class Config:
     trace_max_steps: int = 20000
 
     # curve-curve linking
-    min_curve_separation: float = 1e-6   # gauss_link disjointness requirement
     min_image_separation: float = 1e-4   # pushed cycle vs immersed image
     integer_rounding_margin: float = 0.25
-    link_refine_rounds: int = 3
 
     # 1-cycle vs 3-manifold linking in 5-space
     apex_distance: float = 9.0
     apex_retries: int = 5
-    cone_seed_radius: float = 0.25
-    condition_flag: float = 1e6
 
     # self-intersection solver
     pair_seed_radius: float = 0.08

@@ -69,6 +69,25 @@ class HalfInteger:
 
 
 # ---------------------------------------------------------------------------
+# central differences
+
+
+def fd_jacobian(fn, x, step):
+    """Central-difference derivative of fn at the points x, shape (..., n).
+
+    Column j is (fn(x + h e_j) - fn(x - h e_j)) / 2h with h = step; all 2n
+    shifted copies of x go through fn in one batched call.  Returns shape
+    (..., k, n) when fn maps (..., n) to (..., k), and (..., n) when fn is
+    scalar valued, mapping (..., n) to (...).
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    shift = step * np.eye(n).reshape((n,) + (1,) * (x.ndim - 1) + (n,))
+    vals = fn(np.concatenate([x + shift, x - shift]))
+    return np.moveaxis((vals[:n] - vals[n:]) / (2 * step), 0, -1)
+
+
+# ---------------------------------------------------------------------------
 # the planar Whitney kink and its smooth compactly supported version
 
 
@@ -321,30 +340,14 @@ class FamilyMap:
         """d(f o torus chart), shape (..., 5, 3), central differences."""
         if step is None:
             step = self.config.fd_step
-        theta = np.asarray(theta, dtype=float)
-        r = np.asarray(r, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        cols = []
-        for dth, dr, dph in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            plus = self.torus_eval(theta + dth * step, r + dr * step,
-                                   phi + dph * step)
-            minus = self.torus_eval(theta - dth * step, r - dr * step,
-                                    phi - dph * step)
-            cols.append((plus - minus) / (2 * step))
-        return np.stack(cols, axis=-1)
+        x = np.stack(np.broadcast_arrays(theta, r, phi), axis=-1)
+        return fd_jacobian(
+            lambda p: self.torus_eval(p[..., 0], p[..., 1], p[..., 2]), x,
+            step)
 
-    def ambient_jacobian(self, x, step=None) -> np.ndarray:
+    def ambient_jacobian(self, x) -> np.ndarray:
         """df in ambient coordinates, shape (..., 5, 4), central differences."""
-        if step is None:
-            step = self.config.fd_step
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = step
-            cols.append((self.ambient_eval(x + e) - self.ambient_eval(x - e))
-                        / (2 * step))
-        return np.stack(cols, axis=-1)
+        return fd_jacobian(self.ambient_eval, x, self.config.fd_step)
 
     # -- the self-intersection in closed form -------------------------------
 

@@ -265,6 +265,37 @@ def family_state(m, config: Config = DEFAULT) -> ImmersionState5:
     return ImmersionState5(omega=-m.twice, lk=-2 * m.twice, components=(comp,))
 
 
+def first_column_degree(m, config: Config = DEFAULT) -> numtopo.SignedCount:
+    """Signed preimages of the first frame column of member m over S^3.
+
+    The target value is (0, 0, 1, 0) except at m = 1, the one member whose
+    first column is not surjective; there the missed value (0, 1, 0, 0)
+    certifies degree zero directly.  Closed form: 2 - 2m.
+    """
+    m = HalfInteger.parse(m)
+    mval = m.value
+    value = (0.0, 1.0, 0.0, 0.0) if m.twice == 2 else (0.0, 0.0, 1.0, 0.0)
+    return numtopo.degree_S3(
+        lambda theta, r, phi: column_m1(mval, theta, r, phi), value, config,
+        jac_fn=lambda theta, r, phi: column_m1_jacobian(mval, theta, r, phi))
+
+
+def second_column_hopf(m, config: Config = DEFAULT) -> int:
+    """Hopf invariant of the second frame column of member m, by fibers.
+
+    The fibers over the poles (0, 0, +-1) are traced in torus coordinates
+    and carried onto the domain by the torus chart.  Closed form: -1.
+    """
+    fam = FamilyMap(m, config=config)
+
+    def to_sphere(curve):
+        return fam.torus_coords_point(curve[:, 0], curve[:, 1], curve[:, 2])
+
+    return numtopo.hopf_invariant(column_n1, config, domain="param",
+                                  to_sphere=to_sphere,
+                                  values=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)))
+
+
 def smale_of_family(m, config: Config = DEFAULT) -> RegularHomotopyClass:
     """Regular homotopy class of the family member, computed numerically.
 
@@ -272,26 +303,11 @@ def smale_of_family(m, config: Config = DEFAULT) -> RegularHomotopyClass:
     sphere and v the Hopf invariant of the second; omega = u + 2v.  Both
     are checked against the closed forms u = -2m + 2 and v = -1, so a
     drifted tolerance or geometry regression raises instead of returning
-    a wrong class.  The target value for u is (0, 0, 1, 0) except at
-    m = 1, the one member whose first column is not surjective; there the
-    missed value (0, 1, 0, 0) certifies degree zero directly.
+    a wrong class.
     """
     m = HalfInteger.parse(m)
-    mval = m.value
-    value = (0.0, 1.0, 0.0, 0.0) if m.twice == 2 else (0.0, 0.0, 1.0, 0.0)
-    deg = numtopo.degree_S3(
-        lambda theta, r, phi: column_m1(mval, theta, r, phi), value, config,
-        jac_fn=lambda theta, r, phi: column_m1_jacobian(mval, theta, r, phi))
-    u = deg.value
-
-    fam = FamilyMap(m, config=config)
-
-    def to_sphere(curve):
-        return fam.torus_coords_point(curve[:, 0], curve[:, 1], curve[:, 2])
-
-    v = numtopo.hopf_invariant(column_n1, config, domain="param",
-                               to_sphere=to_sphere,
-                               values=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)))
+    u = first_column_degree(m, config).value
+    v = second_column_hopf(m, config)
     if u != 2 - m.twice or v != -1:
         raise ArithmeticError(
             f"frame-map invariants (u, v) = ({u}, {v}) disagree with the "
@@ -402,23 +418,6 @@ def _pushoff_curve(fam: FamilyMap, rot: float, config: Config) -> np.ndarray:
     return curve
 
 
-def _positive_tangent_basis(fam: FamilyMap, x, config: Config) -> np.ndarray:
-    """Columns: basis of the domain tangent at x with outward normal first
-    completing it to a positive basis of R^4."""
-    fd = config.fd_step
-    g = np.empty(4)
-    for k in range(4):
-        e = np.zeros(4)
-        e[k] = fd
-        g[k] = (domain_constraint(x + e, fam.params)
-                - domain_constraint(x - e, fam.params)) / (2 * fd)
-    nhat = g / np.linalg.norm(g)
-    basis = np.linalg.svd(nhat[None])[2][1:].T
-    if np.linalg.det(np.column_stack([nhat, basis])) < 0:
-        basis = basis[:, [1, 0, 2]]
-    return basis
-
-
 def _induced_circle_sign(fam: FamilyMap, sheet_points, theta,
                          config: Config) -> int:
     """Sign of the induced orientation of the image double circle.
@@ -429,6 +428,9 @@ def _induced_circle_sign(fam: FamilyMap, sheet_points, theta,
     Returns +1 when that orientation is the increasing-theta direction of
     the circle in the x3 x4 plane, -1 otherwise.
     """
+    def constraint(x):
+        return domain_constraint(x, fam.params)
+
     rho = fam.double_point_radius
     probes = range(0, len(theta), max(1, len(theta) // 7))
     signs = set()
@@ -438,17 +440,13 @@ def _induced_circle_sign(fam: FamilyMap, sheet_points, theta,
         cols = [qdot]
         for pts in sheet_points:
             x = pts[i]
-            frame = fam.ambient_jacobian(x) @ _positive_tangent_basis(
-                fam, x, config)
+            frame = fam.ambient_jacobian(x) @ numtopo.positive_tangent_basis(
+                constraint, x, config)
             kappa, residual, *_ = np.linalg.lstsq(frame, qdot, rcond=None)
             if np.linalg.norm(frame @ kappa - qdot) > 1e-5:
                 raise ArithmeticError("double-circle tangent is not tangent "
                                       "to a sheet; geometry inconsistency")
-            khat = kappa / np.linalg.norm(kappa)
-            seed = np.eye(3)[np.argmin(np.abs(khat))]
-            k2 = seed - (seed @ khat) * khat
-            k2 /= np.linalg.norm(k2)
-            k3 = np.cross(khat, k2)
+            k2, k3 = numtopo.sphere_tangent_basis(kappa)
             cols.extend([frame @ k2, frame @ k3])
         signs.add(1 if np.linalg.det(np.column_stack(cols)) > 0 else -1)
     if len(signs) != 1:

@@ -9,6 +9,13 @@ solid angles of the Gauss map after a stereographic projection, and exactly
 via signed crossings through a spherical cone.  Agreement of the two is used
 as a runtime consistency check by the callers.  Degree and fiber routines
 run batched Newton iterations seeded from coarse grids.
+
+Derivatives without a closed form come from the one central-difference
+helper, geometry.fd_jacobian.  Points are put on a level set by the one
+damped Gauss-Newton corrector, _refine, and closed level curves (Hopf
+fibers and double-point curves) are followed by the one predictor-corrector
+tracer, _trace_closed_curve.  Converged solutions are deduplicated by
+_dedupe within _DEDUPE_RADIUS.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .config import Config, DEFAULT
+from .geometry import domain_constraint, fd_jacobian
 
 
 class NonRegularValueError(RuntimeError):
@@ -267,18 +275,45 @@ def spherical_cone_link(curve_a, curve_b, config: Config = DEFAULT,
 # degree of a map from the swept 3-sphere to S^3
 
 
-def _wrap_angle_diff(x, y):
-    d = x - y
-    return (d + np.pi) % (2 * np.pi) - np.pi
+def _box_map(map_fn, jac_fn, config: Config):
+    """map_fn(theta, r, phi) and its Jacobian as functions of stacked points.
+
+    Without jac_fn the Jacobian is taken by central differences.
+    """
+    def fn(p):
+        return map_fn(p[..., 0], p[..., 1], p[..., 2])
+
+    if jac_fn is None:
+        def jac(p):
+            return fd_jacobian(fn, p, config.fd_step)
+    else:
+        def jac(p):
+            return jac_fn(p[..., 0], p[..., 1], p[..., 2])
+    return fn, jac
 
 
-def _finite_difference_jacobian(map_fn, theta, r, phi, step):
-    cols = []
-    for dt, dr, dp in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-        hi = map_fn(theta + step * dt, r + step * dr, phi + step * dp)
-        lo = map_fn(theta - step * dt, r - step * dr, phi - step * dp)
-        cols.append((hi - lo) / (2 * step))
-    return np.stack(cols, axis=-1)
+# Duplicate Newton solutions agree to ~1e-8 and distinct ones are >= 0.08
+# apart, both in degree_S3 and in _fan_crossings.
+_DEDUPE_RADIUS = 1e-6
+
+
+def _dedupe(points, radius):
+    """Indices, in order, of the points not within radius of an earlier
+    kept point: the first point of each cluster."""
+    tree = cKDTree(points)
+    taken = np.zeros(len(points), dtype=bool)
+    keep = []
+    while not taken.all():
+        i = int(np.argmin(taken))
+        keep.append(i)
+        taken[tree.query_ball_point(points[i], radius)] = True
+    return np.array(keep, dtype=int)
+
+
+def _periodic_key(x):
+    """(theta, r, phi) box points embedded so the periodic angles wrap."""
+    return np.column_stack([np.cos(x[:, 0]), np.sin(x[:, 0]), x[:, 1],
+                            np.cos(x[:, 2]), np.sin(x[:, 2])])
 
 
 def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCount:
@@ -287,15 +322,13 @@ def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCou
     The domain is the box [0, 2pi) x [0, pi] x [0, 2pi) with periodic first
     and last coordinates.  Preimages are located by a coarse grid prefilter
     followed by a batched Newton iteration in the tangent chart of the
-    value, deduplicated with wrapped distances, and signed by the sign of
+    value, deduplicated within _DEDUPE_RADIUS after embedding the
+    periodic angles by cosine and sine, and signed by the sign of
     det[value, J columns].  Raises NonRegularValueError when any preimage
     fails the Jacobian regularity threshold.
     """
     v = _unit(np.asarray(value, dtype=float))
-    if jac_fn is None:
-        def jac_fn(theta, r, phi):
-            return _finite_difference_jacobian(map_fn, theta, r, phi,
-                                               config.fd_step)
+    fn, jac = _box_map(map_fn, jac_fn, config)
     basis = stereographic_basis(v)
 
     n = config.degree_grid
@@ -322,13 +355,11 @@ def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCou
     x = np.concatenate(cand)
     alive = np.ones(len(x), dtype=bool)
     for _ in range(config.newton_max_iter):
-        vals = map_fn(x[:, 0], x[:, 1], x[:, 2])
-        F = vals @ basis
+        F = fn(x) @ basis
         res = np.linalg.norm(F, axis=-1)
         if res[alive].size == 0 or res[alive].max() < config.newton_tol:
             break
-        J = jac_fn(x[:, 0], x[:, 1], x[:, 2])
-        JF = np.einsum("ki,...ij->...kj", basis.T, J)
+        JF = np.einsum("ki,...ij->...kj", basis.T, jac(x))
         good = np.abs(np.linalg.det(JF)) > 1e-14
         alive &= good
         step = np.zeros_like(x)
@@ -338,7 +369,7 @@ def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCou
                         step)
         x = x - np.where(alive[:, None], step, 0.0)
 
-    vals = map_fn(x[:, 0], x[:, 1], x[:, 2])
+    vals = fn(x)
     F = vals @ basis
     ok = (np.linalg.norm(F, axis=-1) < 100 * config.newton_tol) & alive
     ok &= vals @ v > 0.5
@@ -349,18 +380,8 @@ def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCou
             return SignedCount(np.empty((0, 3)), np.empty(0, dtype=int))
         raise NonRegularValueError("Newton lost every candidate preimage")
 
-    reps = []
-    for p in x:
-        for q in reps:
-            if (abs(_wrap_angle_diff(p[0], q[0])) < 1e-4
-                    and abs(p[1] - q[1]) < 1e-4
-                    and abs(_wrap_angle_diff(p[2], q[2])) < 1e-4):
-                break
-        else:
-            reps.append(p)
-    reps = np.array(reps)
-
-    J = jac_fn(reps[:, 0], reps[:, 1], reps[:, 2])
+    reps = x[_dedupe(_periodic_key(x), _DEDUPE_RADIUS)]
+    J = jac(reps)
     JF = np.einsum("ki,...ij->...kj", basis.T, J)
     if np.any(np.abs(np.linalg.det(JF)) < config.jacobian_min_det):
         raise NonRegularValueError("value is not regular: singular Jacobian "
@@ -372,12 +393,15 @@ def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCou
 
 
 # ---------------------------------------------------------------------------
-# fiber tracing and the Hopf invariant
+# the corrector, the curve tracer, fiber tracing and the Hopf invariant
 
 
-def _sphere_tangent_basis(v):
-    # right handed: det[v, w1, w2] = +1 so (w1, w2) is positive for the
-    # outward-normal-first orientation of S^2
+def sphere_tangent_basis(v):
+    """Orthonormal (w1, w2) spanning the plane normal to v in R^3.
+
+    Right handed: det[v, w1, w2] = +1, so (w1, w2) is positive for the
+    outward-normal-first orientation of S^2 at v/|v|.
+    """
     v = _unit(np.asarray(v, dtype=float))
     seed = np.eye(3)[np.argmin(np.abs(v))]
     w1 = _unit(seed - (seed @ v) * v)
@@ -385,72 +409,106 @@ def _sphere_tangent_basis(v):
     return w1, w2
 
 
-def _correct_to_level(x, residual, config: Config):
-    """Gauss-Newton projection onto the level set, or None on failure."""
-    x = np.asarray(x, dtype=float).copy()
+def positive_tangent_basis(constraint, x, config: Config) -> np.ndarray:
+    """Columns: basis of the tangent space of {constraint = 0} at x that the
+    outward normal, put first, completes to a positive basis of R^4."""
+    nhat = _unit(fd_jacobian(constraint, x, config.fd_step))
+    basis = np.linalg.svd(nhat[None])[2][1:].T
+    if np.linalg.det(np.column_stack([nhat, basis])) < 0:
+        basis = basis[:, [1, 0, 2]]
+    return basis
+
+
+def _refine(x, residual, tol, config: Config):
+    """Damped Gauss-Newton onto {F = 0}, or None when it stalls.
+
+    residual(x) -> (F, J).  Each Gauss-Newton step is halved up to eight
+    times until the residual norm drops; the iterate is returned once that
+    norm is below tol.
+    """
+    F, J = residual(x)
+    best = np.linalg.norm(F)
     for _ in range(config.newton_max_iter):
-        F, J = residual(x)
-        if np.linalg.norm(F) < config.trace_corrector_tol:
+        if best < tol:
             return x
         step, *_ = np.linalg.lstsq(J, F, rcond=None)
-        x = x - step
-    return None
+        scale = 1.0
+        for _ in range(8):
+            cand = x - scale * step
+            Fc, Jc = residual(cand)
+            if np.linalg.norm(Fc) < best:
+                x, F, J, best = cand, Fc, Jc, np.linalg.norm(Fc)
+                break
+            scale *= 0.5
+        else:
+            return None
+    return x if best < tol else None
 
 
-def _trace_closed_curve(start, residual, tangent, config: Config,
-                        lattice=None):
-    """Predictor-corrector tracing of a closed regular level curve.
+def _trace_closed_curve(start, correct, tangent, step, config: Config,
+                        shifts):
+    """Predictor-corrector tracing of a closed regular curve through start.
 
-    residual(x) -> (k,) must vanish on the curve, tangent(x) -> unit
-    direction field along it (already oriented).  lattice, when given, lists
-    period vectors identified with zero for the closure test.
+    correct(x) returns a nearby point of the curve or None, tangent(x) the
+    oriented unit tangent.  A failed correction halves the predictor step
+    down to a tenth of config.trace_closure_tol.  The curve has closed when
+    the walk returns to start modulo one of the shift vectors, which list
+    the period lattice (just the zero vector for a curve in R^n).
     """
-    def correct(x):
-        out = _correct_to_level(x, residual, config)
-        if out is None:
-            raise ArithmeticError("corrector failed to converge while "
-                                  "tracing")
-        return out
+    def gap(x):
+        return min(np.linalg.norm(x - start - s) for s in shifts)
 
-    shifts = [np.zeros_like(np.asarray(start, dtype=float))]
-    if lattice is not None:
-        shifts = [i * lattice[0] + j * lattice[1]
-                  for i in (-1, 0, 1) for j in (-1, 0, 1)]
-
-    def closed_to(x, ref):
-        d = x - ref
-        return min(np.linalg.norm(d - s) for s in shifts)
-
-    x = correct(np.asarray(start, dtype=float))
+    x = start
     pts = [x]
-    step = config.trace_step
     for n in range(config.trace_max_steps):
         t = tangent(x)
         h = step
         if n > 5:
-            gap = closed_to(x, pts[0])
-            if gap < 1.5 * step:
-                h = max(gap * 0.5, config.trace_closure_tol * 0.25)
-        x = correct(x + h * t)
+            g = gap(x)
+            if g < 1.5 * step:
+                h = max(g * 0.5, config.trace_closure_tol * 0.25)
+        cand = None
+        while cand is None and h > config.trace_closure_tol * 0.1:
+            cand = correct(x + h * t)
+            h *= 0.5
+        if cand is None:
+            raise ArithmeticError("corrector failed to converge while "
+                                  "tracing a closed curve")
+        x = cand
         pts.append(x)
-        if n > 5 and closed_to(x, pts[0]) < config.trace_closure_tol:
+        if n > 5 and gap(x) < config.trace_closure_tol:
             return np.array(pts)
-    raise ArithmeticError("level curve failed to close while tracing")
+    raise ArithmeticError("curve failed to close while tracing")
+
+
+def _trace_fibers(seeds, residual, tangent, config: Config, shifts):
+    """Every closed level curve reached from the seeds, each traced once."""
+    def correct(x):
+        return _refine(x, residual, config.trace_corrector_tol, config)
+
+    curves = []
+    trees = []
+    for seed in seeds:
+        refined = correct(seed)
+        if refined is None:
+            continue
+        if any(tree.query(refined)[0] < 3 * config.trace_step
+               for tree in trees):
+            continue
+        curve = _trace_closed_curve(refined, correct, tangent,
+                                    config.trace_step, config, shifts)
+        curves.append(curve)
+        trees.append(cKDTree(np.concatenate([curve + s for s in shifts])))
+    return curves
 
 
 def _fibers_param(map_fn, v, config: Config, jac_fn=None, grid=48):
     """All fiber components of map_fn over v in the (theta, r, phi) box."""
-    if jac_fn is None:
-        def jac_fn(theta, r, phi):
-            return _finite_difference_jacobian(map_fn, theta, r, phi,
-                                               config.fd_step)
-    w1, w2 = _sphere_tangent_basis(v)
-    W = np.stack([w1, w2], axis=0)
+    fn, jac = _box_map(map_fn, jac_fn, config)
+    W = np.stack(sphere_tangent_basis(v), axis=0)
 
     def residual(x):
-        val = map_fn(x[0], x[1], x[2])
-        J = jac_fn(x[0], x[1], x[2])
-        return W @ (val - v), W @ J
+        return W @ (fn(x) - v), W @ jac(x)
 
     def tangent(x):
         _, J = residual(x)
@@ -470,52 +528,24 @@ def _fibers_param(map_fn, v, config: Config, jac_fn=None, grid=48):
     vals = map_fn(T, R, P)
     mask = np.linalg.norm(vals - v, axis=-1) < 0.3
     seeds = np.stack([T[mask], R[mask], P[mask]], axis=-1)
-    if len(seeds) == 0:
-        return []
     if len(seeds) > 400:
         rng = np.random.default_rng(config.seed)
         seeds = seeds[rng.choice(len(seeds), 400, replace=False)]
-
-    lattice = [np.array([2 * np.pi, 0, 0]), np.array([0, 0, 2 * np.pi])]
-    shifts = [i * lattice[0] + j * lattice[1]
+    shifts = [np.array([2 * np.pi * i, 0.0, 2 * np.pi * j])
               for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    curves = []
-    trees = []
-    for seed in seeds:
-        refined = _correct_to_level(seed, residual, config)
-        if refined is None:
-            continue
-        if any(tree.query(refined)[0] < 3 * config.trace_step
-               for tree in trees):
-            continue
-        curve = _trace_closed_curve(refined, residual, tangent, config,
-                                    lattice=lattice)
-        curves.append(curve)
-        trees.append(cKDTree(np.concatenate([curve + s for s in shifts])))
-    return curves
+    return _trace_fibers(seeds, residual, tangent, config, shifts)
 
 
 def _fibers_ambient(field, constraint, v, config: Config, samples=120000):
     """Fiber components of an S^2-valued field on the hypersurface {G = 0}."""
-    w1, w2 = _sphere_tangent_basis(v)
-    W = np.stack([w1, w2], axis=0)
-    h = config.fd_step
+    W = np.stack(sphere_tangent_basis(v), axis=0)
 
-    def grad_rows(x):
-        rows = np.empty((3, 4))
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = h
-            fp, fm = field(x + e), field(x - e)
-            rows[:2, k] = W @ (fp - fm) / (2 * h)
-            rows[2, k] = (constraint(x + e) - constraint(x - e)) / (2 * h)
-        return rows
+    def level(x):
+        return np.concatenate([(field(x) - v) @ W.T, constraint(x)[..., None]],
+                              axis=-1)
 
     def residual(x):
-        F = np.empty(3)
-        F[:2] = W @ (field(x) - v)
-        F[2] = constraint(x)
-        return F, grad_rows(x)
+        return level(x), fd_jacobian(level, x, config.fd_step)
 
     def tangent(x):
         _, J = residual(x)
@@ -532,25 +562,10 @@ def _fibers_ambient(field, constraint, v, config: Config, samples=120000):
     rng = np.random.default_rng(config.seed)
     pts = _unit(rng.normal(size=(samples, 4)))
     vals = field(pts)
-    mask = np.linalg.norm(vals - v, axis=-1) < 0.25
-    seeds = pts[mask]
-    if len(seeds) == 0:
-        return []
+    seeds = pts[np.linalg.norm(vals - v, axis=-1) < 0.25]
     if len(seeds) > 400:
         seeds = seeds[rng.choice(len(seeds), 400, replace=False)]
-    curves = []
-    trees = []
-    for seed in seeds:
-        refined = _correct_to_level(seed, residual, config)
-        if refined is None:
-            continue
-        if any(tree.query(refined)[0] < 3 * config.trace_step
-               for tree in trees):
-            continue
-        curve = _trace_closed_curve(refined, residual, tangent, config)
-        curves.append(curve)
-        trees.append(cKDTree(curve))
-    return curves
+    return _trace_fibers(seeds, residual, tangent, config, [np.zeros(4)])
 
 
 def hopf_invariant(map_fn, config: Config = DEFAULT, *, domain="param",
@@ -665,60 +680,29 @@ def solve_self_intersection(family, config: Config = DEFAULT):
 
     Solves f(x) = f(y) on pairs of distinct points of the domain
     hypersurface by damped Gauss-Newton from grid-proximity seeds, then
-    follows each solution curve with a predictor-corrector walk in R^8.
+    follows each solution curve with the predictor-corrector tracer in R^8.
     Returns a list of SelfIntersection records, one per double curve.
     """
-    from .geometry import domain_constraint
+    def constraint(x):
+        return domain_constraint(x, family.params)
 
     def residual(z):
-        x, y = z[:4], z[4:]
+        xy = z.reshape(2, 4)
+        img = family.ambient_eval(xy)
+        jac = family.ambient_jacobian(xy)
+        grad = fd_jacobian(constraint, xy, config.fd_step)
         F = np.empty(7)
-        F[:5] = family.ambient_eval(x) - family.ambient_eval(y)
-        F[5] = domain_constraint(x, family.params)
-        F[6] = domain_constraint(y, family.params)
-        Jx = family.ambient_jacobian(x)
-        Jy = family.ambient_jacobian(y)
-        h = config.fd_step
+        F[:5] = img[0] - img[1]
+        F[5:] = constraint(xy)
         J = np.zeros((7, 8))
-        J[:5, :4] = Jx
-        J[:5, 4:] = -Jy
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = h
-            J[5, k] = (domain_constraint(x + e, family.params)
-                       - domain_constraint(x - e, family.params)) / (2 * h)
-            J[6, 4 + k] = (domain_constraint(y + e, family.params)
-                           - domain_constraint(y - e, family.params)) / (2 * h)
+        J[:5, :4] = jac[0]
+        J[:5, 4:] = -jac[1]
+        J[5, :4] = grad[0]
+        J[6, 4:] = grad[1]
         return F, J
 
     def refine(z):
-        F, J = residual(z)
-        best = np.linalg.norm(F)
-        for _ in range(config.newton_max_iter):
-            if best < config.newton_tol:
-                return z
-            step, *_ = np.linalg.lstsq(J, F, rcond=None)
-            scale = 1.0
-            for _ in range(8):
-                cand = z - scale * step
-                Fc, Jc = residual(cand)
-                if np.linalg.norm(Fc) < best:
-                    z, F, J, best = cand, Fc, Jc, np.linalg.norm(Fc)
-                    break
-                scale *= 0.5
-            else:
-                return None
-        return z if best < config.newton_tol else None
-
-    def tangent_field(prev):
-        def tangent(z):
-            _, J = residual(z)
-            t = np.linalg.svd(J)[2][-1]
-            if prev[0] is not None and t @ prev[0] < 0:
-                t = -t
-            prev[0] = t
-            return t
-        return tangent
+        return _refine(z, residual, config.newton_tol, config)
 
     seeds = _double_point_seeds(family, config)
     solved = []
@@ -734,55 +718,34 @@ def solve_self_intersection(family, config: Config = DEFAULT):
     results = []
     consumed = np.zeros(len(solved), dtype=bool)
     solved_arr = np.array(solved) if solved else np.empty((0, 8))
+    swap = [4, 5, 6, 7, 0, 1, 2, 3]
+    step = config.double_trace_step
     for idx in range(len(solved)):
         if consumed[idx]:
             continue
         z0 = solved_arr[idx]
-        swap0 = np.concatenate([z0[4:], z0[:4]])
         prev = [None]
-        tangent = tangent_field(prev)
-        merged = False
-        pts = [z0]
-        z = z0.copy()
-        armed = True
-        step = config.double_trace_step
-        for n in range(config.trace_max_steps):
-            t = tangent(z)
-            h = step
-            gap = np.linalg.norm(z - z0)
-            if n > 5 and gap < 1.5 * h:
-                h = max(gap * 0.5, config.trace_closure_tol * 0.25)
-            cand = None
-            while cand is None and h > config.trace_closure_tol * 0.1:
-                cand = refine(z + h * t)
-                h *= 0.5
-            if cand is None:
-                raise ArithmeticError("double curve tracing lost the curve")
-            z = cand
-            pts.append(z)
-            d_swap = np.linalg.norm(z - swap0)
-            if d_swap > 3 * step:
-                armed = True
-            if armed and d_swap < 1.5 * step:
-                merged = True
-                armed = False
-            if n > 5 and np.linalg.norm(z - z0) < config.trace_closure_tol:
-                break
-        else:
-            raise ArithmeticError("double curve failed to close")
-        track = np.array(pts)
+
+        def tangent(z):
+            t = np.linalg.svd(residual(z)[1])[2][-1]
+            if prev[0] is not None and t @ prev[0] < 0:
+                t = -t
+            prev[0] = t
+            return t
+
+        track = _trace_closed_curve(z0, refine, tangent, step, config,
+                                    [np.zeros(8)])
+        # the track passes the swapped start exactly when the two branches
+        # over the double curve join into one preimage circle
+        merged = bool(np.any(np.linalg.norm(track[1:] - z0[swap], axis=1)
+                             < 1.5 * step))
         x_track, y_track = track[:, :4], track[:, 4:]
-        if merged:
-            comps = (x_track,)
-        else:
-            comps = (x_track, y_track)
         results.append(SelfIntersection(
-            preimage_components=comps,
+            preimage_components=(x_track,) if merged else (x_track, y_track),
             image_curve=family.ambient_eval(x_track),
             merged_cover=merged))
-        both = np.concatenate([track, track[:, [4, 5, 6, 7, 0, 1, 2, 3]]])
-        dist = cKDTree(both).query(solved_arr)[0]
-        consumed |= dist < 3 * step
+        both = np.concatenate([track, track[:, swap]])
+        consumed |= cKDTree(both).query(solved_arr)[0] < 3 * step
     return results
 
 
@@ -807,10 +770,11 @@ def _star_project(directions, constraint):
         step = np.sqrt(np.maximum(lam**2 - constraint(lam[:, None] * d),
                                   1e-12))
         if np.max(np.abs(step - lam)) < 1e-13:
-            lam = step
-            break
+            return step[:, None] * d
         lam = step
-    return lam[:, None] * d
+    raise NonRegularValueError("star projection onto the domain did not "
+                               "converge in 80 iterations; the domain is "
+                               "not star shaped enough for the chain seeds")
 
 
 def _chain_samples(verts, apex):
@@ -844,7 +808,8 @@ def _seeds_near_chain(chain_tree, manifold, constraint, config: Config,
     pts = _star_project(rng.normal(size=(60000, 4)), constraint)
     if extra is not None and len(extra):
         pts = np.concatenate([pts, np.asarray(extra, dtype=float)])
-    for radius, jitter, fan in ((0.25, 0.06, 8), (0.08, 0.02, 6),
+    for radius, jitter, fan in ((0.25, 0.06, 8),
+                                (0.08, 0.02, 6),
                                 (0.025, None, 0)):
         dist = chain_tree.query(manifold.ambient_eval(pts))[0]
         keep = pts[dist < radius]
@@ -872,16 +837,7 @@ def _fan_crossings(verts, apex, manifold, constraint, seeds, chain_data,
     n = len(verts)
     seg_a = verts
     seg_b = verts[np.roll(np.arange(n), -1)]
-    fd = config.fd_step
     edge = 1e-5
-
-    def grad_constraint(x):
-        g = np.empty_like(x)
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = fd
-            g[..., k] = (constraint(x + e) - constraint(x - e)) / (2 * fd)
-        return g
 
     chain_pts, tri_s, u_s, t_s = chain_data
     img = manifold.ambient_eval(seeds)
@@ -929,7 +885,7 @@ def _fan_crossings(verts, apex, manifold, constraint, seeds, chain_data,
         x, u, t = zz[:, :4], zz[:, 4], zz[:, 5]
         J = np.zeros((len(zz), 6, 6))
         J[:, :5, :4] = manifold.ambient_jacobian(x)
-        J[:, 5, :4] = grad_constraint(x)
+        J[:, 5, :4] = fd_jacobian(constraint, x, config.fd_step)
         J[:, :5, 4] = -(1 - t)[:, None] * (Bw - Aw)
         J[:, :5, 5] = ((1 - u)[:, None] * Aw + u[:, None] * Bw) - apex
         return J
@@ -972,19 +928,11 @@ def _fan_crossings(verts, apex, manifold, constraint, seeds, chain_data,
         return 0
 
     key = np.column_stack([z[:, :4], chain_of(z, A, B)])
-    reps = []
-    for k in range(len(z)):
-        if all(np.linalg.norm(key[k] - key[j]) > 1e-5 for j in reps):
-            reps.append(k)
-
     total = 0
-    for k in reps:
+    for k in _dedupe(key, _DEDUPE_RADIUS):
         x, u, t = z[k, :4], z[k, 4], z[k, 5]
         nu = manifold.ambient_jacobian(x)
-        nhat = _unit(grad_constraint(x[None])[0])
-        basis = np.linalg.svd(nhat[None])[2][1:].T
-        if np.linalg.det(np.column_stack([nhat, basis])) < 0:
-            basis = basis[:, [1, 0, 2]]
+        basis = positive_tangent_basis(constraint, x, config)
         cu = (1 - t) * (B[k] - A[k])
         ct = apex - ((1 - u) * A[k] + u * B[k])
         D = np.column_stack([cu, ct, nu @ basis])
@@ -1021,8 +969,6 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
     built-in ray-refinement seed search; pass them when the immersion has
     features sharper than its 0.25-coarse sampling can see.
     """
-    from .geometry import domain_constraint
-
     verts = _drop_duplicate_endpoint(curve)
     if verts.shape[1] != 5:
         raise ValueError("curve must be a closed polyline in R^5")

@@ -27,6 +27,10 @@ import numpy as np
 from .config import Config, DEFAULT
 
 
+class DimensionCapError(ValueError):
+    """A space is too large for an enumeration cap of the config."""
+
+
 # ---------------------------------------------------------------------------
 # exact arithmetic in Z[zeta], zeta**4 = -1
 
@@ -234,11 +238,12 @@ def extend_q(space: QuadraticSpace, vector: Sequence[int]) -> int:
     return total
 
 
-def q_table(space: QuadraticSpace) -> np.ndarray:
+def q_table(space: QuadraticSpace, config: Config = DEFAULT) -> np.ndarray:
     """q on all 2**dim vectors (row index = bit pattern, LSB = e_0)."""
     n = space.dim
-    if n > DEFAULT.max_qform_dim:
-        raise ValueError(f"dimension {n} exceeds enumeration cap")
+    if n > config.max_qform_dim:
+        raise DimensionCapError(f"dimension {n} exceeds enumeration cap "
+                         f"{config.max_qform_dim}")
     mat = space.matrix()
     upper = np.triu(mat, k=1)
     qvals = np.asarray(space.basis_q, dtype=np.int64)
@@ -255,10 +260,7 @@ def q_table(space: QuadraticSpace) -> np.ndarray:
 
 def gauss_sum(space: QuadraticSpace, config: Config = DEFAULT) -> CyclotomicEight:
     """sum over V of i**q(x), exactly, as an element of Z[zeta]."""
-    if space.dim > config.max_qform_dim:
-        raise ValueError(f"dimension {space.dim} exceeds cap "
-                         f"{config.max_qform_dim}")
-    counts = np.bincount(q_table(space), minlength=4)
+    counts = np.bincount(q_table(space, config), minlength=4)
     # i**q = zeta**(2q); zeta**0, zeta**2, zeta**4, zeta**6 = 1, i, -1, -i
     n0, n1, n2, n3 = (int(c) for c in counts)
     return CyclotomicEight((n0 - n2, 0, n1 - n3, 0))
@@ -309,12 +311,12 @@ def is_split(space: QuadraticSpace, config: Config = DEFAULT) -> bool:
     if n % 2 != 0:
         return False
     if n > config.max_split_search_dim:
-        raise ValueError(f"dimension {n} exceeds split-search cap "
+        raise DimensionCapError(f"dimension {n} exceeds split-search cap "
                          f"{config.max_split_search_dim}")
     if n == 0:
         return True
     mat = space.matrix()
-    qs = q_table(space)
+    qs = q_table(space, config)
     vectors = np.arange(1, 1 << n, dtype=np.int64)
     null = [int(v) for v in vectors[qs[1:] == 0]]
     if not null:

@@ -270,6 +270,31 @@ def test_config_env_var_is_honoured(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["beta"] == 7
 
 
+def test_qform_cap_from_config_is_an_input_error(capsys, tmp_path):
+    cfg = tmp_path / "genimm.cfg"
+    cfg.write_text("max_qform_dim = 3\n")
+    path = tmp_path / "space.json"
+    path.write_text(qform.direct_sum_many([qform.p_plus()] * 4).to_json())
+    for action in ("brown", "split", "table"):
+        code, out, err = run(capsys, "--config", str(cfg), "qform", action,
+                             "--space", str(path))
+        assert code == 2, action
+        assert out == ""
+        assert err.startswith("genimm: ") and "cap 3" in err
+
+
+def test_qform_internal_error_is_not_an_input_error(capsys, tmp_path,
+                                                    monkeypatch):
+    def broken(space, config):
+        raise ValueError("Gauss sum does not factor")
+
+    monkeypatch.setattr(qform, "brown", broken)
+    path = tmp_path / "space.json"
+    path.write_text(qform.p_plus().to_json())
+    with pytest.raises(ValueError, match="does not factor"):
+        cli.main(["qform", "brown", "--space", str(path)])
+
+
 def test_bad_config_is_a_usage_error(capsys, tmp_path):
     cfg = tmp_path / "genimm.cfg"
     cfg.write_text("no_such_key = 3\n")

@@ -7,9 +7,9 @@ from scipy.spatial import cKDTree
 from genimm.geometry import (FamilyMap, HalfInteger, KinkParams, TorusPoint,
                              blended_kink, classical_hopf, column_m1,
                              column_m1_jacobian, column_n1, domain_constraint,
-                             frame_columns, frame_defect, profile_height,
-                             quat_mul, quaternion_frame, smooth_step,
-                             whitney_kink, whitney_kink_jacobian)
+                             fd_jacobian, frame_columns, frame_defect,
+                             profile_height, quat_mul, quaternion_frame,
+                             smooth_step, whitney_kink, whitney_kink_jacobian)
 
 RNG = np.random.default_rng(20240812)
 
@@ -46,14 +46,41 @@ def test_kink_flattens_at_infinity():
     assert abs(far[2]) < 1e-3 and abs(far[3]) < 1e-2
 
 
+def kink(p):
+    return whitney_kink(p[..., 0], p[..., 1])
+
+
 def test_kink_jacobian_matches_finite_differences():
     h = 1e-6
-    for x, y in RNG.uniform(-3, 3, size=(25, 2)):
+    pts = RNG.uniform(-3, 3, size=(25, 2))
+    for x, y in pts:
         J = whitney_kink_jacobian(x, y)
         fd_x = (whitney_kink(x + h, y) - whitney_kink(x - h, y)) / (2 * h)
         fd_y = (whitney_kink(x, y + h) - whitney_kink(x, y - h)) / (2 * h)
         assert np.allclose(J[..., 0], fd_x, atol=1e-6)
         assert np.allclose(J[..., 1], fd_y, atol=1e-6)
+        fd = fd_jacobian(kink, np.array([x, y]), h)
+        assert fd.shape == (4, 2)
+        assert np.array_equal(fd, np.column_stack([fd_x, fd_y]))
+    # batched: (5, 5, 2) points give (5, 5, 4, 2) Jacobians
+    grid = pts.reshape(5, 5, 2)
+    fd = fd_jacobian(kink, grid, h)
+    assert fd.shape == (5, 5, 4, 2)
+    assert np.allclose(fd, whitney_kink_jacobian(grid[..., 0], grid[..., 1]),
+                       atol=1e-6)
+
+
+def test_fd_jacobian_of_a_scalar_function_is_its_gradient():
+    # on the round part 4a <= |(x1, x2)| < 1, G(x) = |x|^2 - 1, so the
+    # gradient is 2x
+    params = KinkParams()
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(3, 7, 4))
+    x[..., 0] = rng.uniform(0.85, 0.95, size=(3, 7))
+    x[..., 1] = rng.uniform(-0.1, 0.1, size=(3, 7))
+    grad = fd_jacobian(lambda p: domain_constraint(p, params), x, 1e-6)
+    assert grad.shape == (3, 7, 4)
+    assert np.allclose(grad, 2 * x, atol=1e-6)
 
 
 def test_kink_half_turn_symmetry():
@@ -286,6 +313,11 @@ def test_column_m1_jacobian_matches_finite_differences():
                   - column_m1(m, theta - h * dt, r - h * dr, phi - h * dp)) \
                 / (2 * h)
             assert np.allclose(J[..., k], fd, atol=1e-6)
+        pts = np.stack([theta, r, phi], axis=-1).reshape(4, 5, 3)
+        fd = fd_jacobian(lambda p: column_m1(m, p[..., 0], p[..., 1],
+                                             p[..., 2]), pts, h)
+        assert fd.shape == (4, 5, 4, 3)
+        assert np.allclose(fd, J.reshape(4, 5, 4, 3), atol=1e-6)
 
 
 def test_column_n1_unit_and_boundary():

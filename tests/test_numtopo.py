@@ -18,6 +18,8 @@ from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             spherical_cone_link, projected_link,
                             solve_self_intersection, stereographic,
                             stereographic_basis)
+from genimm.numtopo import (_DEDUPE_RADIUS, _dedupe, _periodic_key,
+                            _star_project)
 
 CFG = Config()
 
@@ -350,6 +352,32 @@ class TestHausdorff:
         a = rng.normal(size=(40, 3))
         b = rng.normal(size=(35, 3))
         assert np.isclose(hausdorff_distance(a, b), hausdorff_distance(b, a))
+
+
+class TestDedupe:
+    def test_periodic_duplicates_collapse_to_the_first(self):
+        two_pi = 2 * np.pi
+        pts = np.array([[3.0, 1.0, 2.0],
+                        [1e-9, 1.0, 0.5],
+                        [two_pi - 1e-9, 1.0, 0.5],     # wraps onto row 1
+                        [1e-9, 1.0, two_pi - 0.5],     # distinct in phi
+                        [3.0, 1.0 + 1e-3, 2.0],        # distinct in r
+                        [3.0, 1.0, 2.0 + 1e-12]])      # duplicate of row 0
+        keep = _dedupe(_periodic_key(pts), _DEDUPE_RADIUS)
+        assert keep.tolist() == [0, 1, 3, 4]
+
+
+class TestStarProjection:
+    def test_projects_onto_the_round_sphere(self):
+        d = np.random.default_rng(3).normal(size=(50, 4))
+        pts = _star_project(d, lambda x: (x * x).sum(axis=-1) - 1.0)
+        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+
+    def test_unsettled_scale_raises(self):
+        # G = -1 everywhere: the scale grows like sqrt(1 + k), never settling
+        d = np.random.default_rng(3).normal(size=(5, 4))
+        with pytest.raises(NonRegularValueError, match="star projection"):
+            _star_project(d, lambda x: np.full(x.shape[:-1], -1.0))
 
 
 class TestSignedCount:

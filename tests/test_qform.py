@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from genimm import qform
+from genimm.config import Config
 from genimm.qform import (CyclotomicEight, QuadraticSpace, SQRT2, WittClass,
                           brown, direct_sum, direct_sum_many, extend_q,
                           gauss_sum, is_split, p_minus, p_plus, q_table,
@@ -120,6 +121,15 @@ def test_q_table_matches_extend_q():
     for bits in range(64):
         vec = [(bits >> i) & 1 for i in range(6)]
         assert table[bits] == extend_q(s, vec)
+
+
+def test_q_table_honours_the_config_cap():
+    s = direct_sum_many([p_plus()] * 4)
+    with pytest.raises(qform.DimensionCapError, match="cap 3"):
+        q_table(s, Config(max_qform_dim=3))
+    with pytest.raises(qform.DimensionCapError, match="cap 3"):
+        brown(s, Config(max_qform_dim=3))
+    assert len(q_table(s, Config(max_qform_dim=4))) == 16
 
 
 # ---------------------------------------------------------------------------
