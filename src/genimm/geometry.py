@@ -465,6 +465,28 @@ def column_n1(theta, r, phi) -> np.ndarray:
                      sr * np.sin(phi - theta)], axis=-1)
 
 
+def column_n1_jacobian(theta, r, phi) -> np.ndarray:
+    """Exact derivative of column_n1 in (theta, r, phi), shape (..., 3, 3)."""
+    theta = np.asarray(theta, dtype=float)
+    r = np.asarray(r, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    B = phi - theta
+    cr, sr = np.cos(r), np.sin(r)
+    cB, sB = np.cos(B), np.sin(B)
+    z = np.zeros_like(theta + r + phi)
+    J = np.empty(z.shape + (3, 3))
+    J[..., 0, 0] = z
+    J[..., 0, 1] = sr
+    J[..., 0, 2] = z
+    J[..., 1, 0] = sr * sB
+    J[..., 1, 1] = cr * cB
+    J[..., 1, 2] = -sr * sB
+    J[..., 2, 0] = -sr * cB
+    J[..., 2, 1] = cr * sB
+    J[..., 2, 2] = sr * cB
+    return J
+
+
 def frame_columns(theta: float) -> np.ndarray:
     """The printed frame of the swept standard embedding along the core.
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import numtopo, surfaces
 from .config import Config, DEFAULT
 from .geometry import (FamilyMap, HalfInteger, column_m1, column_m1_jacobian,
-                       column_n1, domain_constraint)
+                       column_n1, column_n1_jacobian, domain_constraint)
 
 RIGHT_TWIST = 1
 LEFT_TWIST = 3
@@ -293,7 +293,8 @@ def second_column_hopf(m, config: Config = DEFAULT) -> int:
 
     return numtopo.hopf_invariant(column_n1, config, domain="param",
                                   to_sphere=to_sphere,
-                                  values=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)))
+                                  values=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
+                                  jac_fn=column_n1_jacobian)
 
 
 def smale_of_family(m, config: Config = DEFAULT) -> RegularHomotopyClass:

@@ -659,8 +659,11 @@ def _double_point_seeds(family, config: Config):
     img = family.ambient_eval(pts)
     tree = cKDTree(img)
     # k nearest neighbours instead of query_pairs: the grid is very dense
-    # near the disk centres and an all-pairs query there blows up memory
-    dist, nbr = tree.query(img, k=13)
+    # near the disk centres and an all-pairs query there blows up memory.
+    # Neighbours past the radius come back as (inf, len(img)); the close
+    # mask drops them before nbr is read.
+    dist, nbr = tree.query(img, k=13,
+                           distance_upper_bound=config.pair_seed_radius)
     i = np.repeat(np.arange(len(img)), 12)
     j = nbr[:, 1:].ravel()
     close = dist[:, 1:].ravel() < config.pair_seed_radius
@@ -762,16 +765,21 @@ def _star_project(directions, constraint):
 
     Fixed-point iteration on the scale: for a unit direction d and scale s,
     G(s d) = s^2 - R(s d)^2 with R the target radius, so s <- sqrt(s^2 - G)
-    converges for profiles whose radius varies slowly along rays.
+    converges for profiles whose radius varies slowly along rays.  Each row
+    stops on its own once its scale moves by less than 1e-13, so a row's
+    result does not depend on the other rows of the batch.
     """
     d = _unit(np.asarray(directions, dtype=float))
     lam = np.ones(len(d))
+    active = np.arange(len(d))
     for _ in range(80):
-        step = np.sqrt(np.maximum(lam**2 - constraint(lam[:, None] * d),
-                                  1e-12))
-        if np.max(np.abs(step - lam)) < 1e-13:
-            return step[:, None] * d
-        lam = step
+        cur = lam[active]
+        step = np.sqrt(np.maximum(
+            cur**2 - constraint(cur[:, None] * d[active]), 1e-12))
+        lam[active] = step
+        active = active[~(np.abs(step - cur) < 1e-13)]
+        if len(active) == 0:
+            return lam[:, None] * d
     raise NonRegularValueError("star projection onto the domain did not "
                                "converge in 80 iterations; the domain is "
                                "not star shaped enough for the chain seeds")
@@ -801,8 +809,12 @@ def _seeds_near_chain(chain_tree, manifold, constraint, config: Config,
 
     Starts from a quasi-uniform radial sample of the domain hypersurface
     and keeps jitter-refining the points whose images approach the chain.
-    Returns None when nothing comes near at the coarse scale, which rules
-    out any crossing at the sampling resolution used by the caller.
+    Each round keeps the points within its radius of the chain, adds fan
+    jittered copies of each, and draws at most 150,000 points from the kept
+    points and their copies; only the copies that are drawn are star
+    projected back onto the domain.  Returns None when nothing comes near at the coarse
+    scale, which rules out any crossing at the sampling resolution used by
+    the caller.
     """
     rng = np.random.default_rng(config.seed + 5)
     pts = _star_project(rng.normal(size=(60000, 4)), constraint)
@@ -811,7 +823,9 @@ def _seeds_near_chain(chain_tree, manifold, constraint, config: Config,
     for radius, jitter, fan in ((0.25, 0.06, 8),
                                 (0.08, 0.02, 6),
                                 (0.025, None, 0)):
-        dist = chain_tree.query(manifold.ambient_eval(pts))[0]
+        # farther points come back as inf, and only dist < radius is read
+        dist = chain_tree.query(manifold.ambient_eval(pts),
+                                distance_upper_bound=radius)[0]
         keep = pts[dist < radius]
         if jitter is None:
             return keep
@@ -819,20 +833,27 @@ def _seeds_near_chain(chain_tree, manifold, constraint, config: Config,
             return None
         reps = np.repeat(keep, fan, axis=0)
         reps = reps + rng.normal(size=reps.shape) * jitter
-        pts = np.concatenate([keep, _star_project(reps, constraint)])
-        if len(pts) > 150000:
-            pts = pts[rng.choice(len(pts), 150000, replace=False)]
+        pick = np.arange(len(keep) + len(reps))
+        if len(pick) > 150000:
+            pick = rng.choice(len(pick), 150000, replace=False)
+        copy = pick >= len(keep)
+        pts = np.empty((len(pick), 4))
+        pts[~copy] = keep[pick[~copy]]
+        pts[copy] = _star_project(reps[pick[copy] - len(keep)], constraint)
     return pts
 
 
-def _fan_crossings(verts, apex, manifold, constraint, seeds, chain_data,
-                   config: Config) -> int:
+def _fan_crossings(verts, apex, manifold, constraint, seeds, img,
+                   chain_data, config: Config) -> int:
     """Signed count of image crossings through the fan over a polyline.
 
     Solves the 6 x 6 system (image point meets triangle interior, domain
     constraint) by damped batched Newton from proximity seeds, deduplicates
     converged solutions, and rejects edge-adjacent or near-tangential
-    crossings by raising _DegenerateChain so the caller can re-cone.
+    crossings by raising _DegenerateChain so the caller can re-cone.  img
+    holds the images of the seeds.  The seed -> chain query stays unbounded:
+    tri_s[idx] is read before the radius mask, so a missing neighbour's
+    index len(chain_pts) would be out of range.
     """
     n = len(verts)
     seg_a = verts
@@ -840,7 +861,6 @@ def _fan_crossings(verts, apex, manifold, constraint, seeds, chain_data,
     edge = 1e-5
 
     chain_pts, tri_s, u_s, t_s = chain_data
-    img = manifold.ambient_eval(seeds)
     # Pair in the seed -> chain direction: every seed mapping near the fan
     # launches Newton at its closest chain samples.  The reverse direction
     # (closest seeds per chain sample) starves sheets of a double circle
@@ -999,7 +1019,7 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
             raise ValueError("curve passes too close to the image to link")
         try:
             return _fan_crossings(verts, z, manifold, constraint, seeds,
-                                  chain_data, config)
+                                  img, chain_data, config)
         except _DegenerateChain as err:
             last_err = err
     raise NonRegularValueError(f"no generic cone apex found: {last_err}")

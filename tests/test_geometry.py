@@ -6,7 +6,8 @@ from scipy.spatial import cKDTree
 
 from genimm.geometry import (FamilyMap, HalfInteger, KinkParams, TorusPoint,
                              blended_kink, classical_hopf, column_m1,
-                             column_m1_jacobian, column_n1, domain_constraint,
+                             column_m1_jacobian, column_n1,
+                             column_n1_jacobian, domain_constraint,
                              fd_jacobian, frame_columns, frame_defect,
                              profile_height, quat_mul, quaternion_frame,
                              smooth_step, whitney_kink, whitney_kink_jacobian)
@@ -318,6 +319,20 @@ def test_column_m1_jacobian_matches_finite_differences():
                                              p[..., 2]), pts, h)
         assert fd.shape == (4, 5, 4, 3)
         assert np.allclose(fd, J.reshape(4, 5, 4, 3), atol=1e-6)
+
+
+def test_column_n1_jacobian_matches_finite_differences():
+    theta = RNG.uniform(0, 2 * np.pi, 20)
+    r = RNG.uniform(0, np.pi, 20)
+    phi = RNG.uniform(0, 2 * np.pi, 20)
+    J = column_n1_jacobian(theta, r, phi)
+    assert J.shape == (20, 3, 3)
+    pts = np.stack([theta, r, phi], axis=-1).reshape(4, 5, 3)
+    fd = fd_jacobian(lambda p: column_n1(p[..., 0], p[..., 1], p[..., 2]),
+                     pts, 1e-6)
+    assert np.allclose(fd, J.reshape(4, 5, 3, 3), atol=1e-6)
+    # scalar coordinates give a single 3 x 3 matrix
+    assert np.allclose(column_n1_jacobian(theta[0], r[0], phi[0]), J[0])
 
 
 def test_column_n1_unit_and_boundary():

@@ -8,10 +8,12 @@ fibration, whose fibers and their framings are written out exactly.
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from genimm.config import Config
 from genimm.geometry import (FamilyMap, HalfInteger, classical_hopf,
-                             column_m1, column_m1_jacobian, column_n1)
+                             column_m1, column_m1_jacobian, column_n1,
+                             domain_constraint)
 from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             degree_S3, gauss_link, gauss_link_raw,
                             hausdorff_distance, hopf_invariant,
@@ -19,7 +21,7 @@ from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             solve_self_intersection, stereographic,
                             stereographic_basis)
 from genimm.numtopo import (_DEDUPE_RADIUS, _dedupe, _periodic_key,
-                            _star_project)
+                            _seeds_near_chain, _star_project)
 
 CFG = Config()
 
@@ -378,6 +380,79 @@ class TestStarProjection:
         d = np.random.default_rng(3).normal(size=(5, 4))
         with pytest.raises(NonRegularValueError, match="star projection"):
             _star_project(d, lambda x: np.full(x.shape[:-1], -1.0))
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        # G = |x|^2 - 1 - 0.6 x1^2: along a unit ray d the scale settles in
+        # one step where d1 = 0 and at rate 0.6 d1^2 elsewhere
+        sizes = []
+
+        def level(x):
+            sizes.append(len(x))
+            return (x * x).sum(axis=-1) - 1.0 - 0.6 * x[..., 0]**2
+
+        d = np.random.default_rng(4).normal(size=(400, 4))
+        d[::3, 0] = 0.0
+        whole = _star_project(d, level)
+        assert len(set(sizes)) > 10      # rows settled at many iterations
+        d1 = d[:, 0] / np.linalg.norm(d, axis=1)
+        assert np.allclose(np.linalg.norm(whole, axis=1),
+                           1 / np.sqrt(1 - 0.6 * d1**2), atol=1e-12)
+        sub = np.random.default_rng(5).choice(400, 90, replace=False)
+        assert np.array_equal(_star_project(d[sub], level), whole[sub])
+
+
+def _seeds_near_chain_reference(chain_tree, manifold, constraint, config):
+    """The chain seed search as first written: unbounded queries, every
+    jittered copy projected with a batch-wide stopping rule, then the
+    150,000 draw.  Also returns whether each draw fired."""
+    def project(directions):
+        d = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        lam = np.ones(len(d))
+        for _ in range(80):
+            step = np.sqrt(np.maximum(
+                lam**2 - constraint(lam[:, None] * d), 1e-12))
+            if np.max(np.abs(step - lam)) < 1e-13:
+                return step[:, None] * d
+            lam = step
+        raise AssertionError("reference projection did not settle")
+
+    rng = np.random.default_rng(config.seed + 5)
+    pts = project(rng.normal(size=(60000, 4)))
+    capped = []
+    for radius, jitter, fan in ((0.25, 0.06, 8),
+                                (0.08, 0.02, 6),
+                                (0.025, None, 0)):
+        dist = chain_tree.query(manifold.ambient_eval(pts))[0]
+        keep = pts[dist < radius]
+        if jitter is None:
+            return keep, capped
+        reps = np.repeat(keep, fan, axis=0)
+        reps = reps + rng.normal(size=reps.shape) * jitter
+        pts = np.concatenate([keep, project(reps)])
+        capped.append(len(pts) > 150000)
+        if len(pts) > 150000:
+            pts = pts[rng.choice(len(pts), 150000, replace=False)]
+
+
+def test_seeds_near_chain_matches_the_project_everything_search():
+    fam = FamilyMap("1/2", config=CFG)
+
+    def constraint(x):
+        return domain_constraint(x, fam.params)
+
+    # chain: the image of a torus on the domain, so that about half the
+    # domain lies within 0.25 of it and both 150,000 draws fire
+    a, b = np.meshgrid(np.linspace(0, 2 * np.pi, 60, endpoint=False),
+                       np.linspace(0, 2 * np.pi, 60, endpoint=False))
+    torus = np.stack([np.cos(a), np.sin(a), np.cos(b), np.sin(b)], axis=-1)
+    tree = cKDTree(fam.ambient_eval(
+        _star_project(torus.reshape(-1, 4), constraint)))
+    ref, capped = _seeds_near_chain_reference(tree, fam, constraint, CFG)
+    assert capped == [True, True]
+    assert len(ref) > 10000
+    seeds = _seeds_near_chain(tree, fam, constraint, CFG)
+    assert seeds.shape == ref.shape
+    assert np.allclose(seeds, ref, rtol=0, atol=1e-12)
 
 
 class TestSignedCount:
