@@ -6,7 +6,8 @@ the 0.35/0.2 grid thresholds in ``degree_S3``, the 1e-6 dedupe radius of
 converged solutions, the 400-seed caps of the fiber finders, the
 0.25/0.08/0.025 chain seed radii and 60,000/150,000 chain sample sizes,
 the 600-seed and 80-solution caps of ``solve_self_intersection``, the 1e-5
-fan-edge margin and the 8e-3 framing shift.  A config can be loaded from a flat
+fan-edge margin, the 8e-3 framing shift and the 6 step halvings of the
+batched Newton ``numtopo._newton``.  A config can be loaded from a flat
 ``key = value`` file; the ``GENIMM_CONFIG`` environment variable overrides
 the default config path only, never individual values.
 """

@@ -173,7 +173,7 @@ def L(state: ImmersionState5) -> int:
 
 def St(state: ImmersionState5) -> int:
     """The integer (lk + omega) / 3: additive, sign-reversed with
-    orientation, and not a first-order invariant."""
+    orientation, and a first-order invariant independent of J."""
     return (state.lk + state.omega) // 3
 
 

@@ -11,11 +11,12 @@ as a runtime consistency check by the callers.  Degree and fiber routines
 run batched Newton iterations seeded from coarse grids.
 
 Derivatives without a closed form come from the one central-difference
-helper, geometry.fd_jacobian.  Points are put on a level set by the one
-damped Gauss-Newton corrector, _refine, and closed level curves (Hopf
-fibers and double-point curves) are followed by the one predictor-corrector
-tracer, _trace_closed_curve.  Converged solutions are deduplicated by
-_dedupe within _DEDUPE_RADIUS.
+helper, geometry.fd_jacobian.  Every equation, square or wide, is solved by
+the one batched damped Gauss-Newton, _newton: degree preimages, fan
+crossings, fiber and double-curve seeds, and the corrector of the one
+predictor-corrector tracer, _trace_closed_curve, which follows closed level
+curves (Hopf fibers and double-point curves).  Converged solutions are
+deduplicated by _dedupe within _DEDUPE_RADIUS.
 """
 
 from __future__ import annotations
@@ -316,15 +317,64 @@ def _periodic_key(x):
                             np.cos(x[:, 2]), np.sin(x[:, 2])])
 
 
+def _newton(x, residual, jacobian, tol, config: Config):
+    """Batched damped Gauss-Newton onto {F = 0}; returns (x, converged).
+
+    residual(x, rows) -> F of shape (N, k) and jacobian(x, rows) -> J of
+    shape (N, k, n) evaluate N rows of the batch, rows holding their indices
+    in the original batch.  Each iteration builds J once and takes the
+    minimum-norm step J^T (J J^T)^-1 F, which serves square and wide systems
+    alike, then halves it up to 6 times, evaluating only the residual and
+    only on the rows that have not improved yet.  A row stops when
+    |det(J J^T)| <= 1e-300 or no trial point lowers its residual norm, and
+    has converged once that norm is below tol.  Rows never interact, so a
+    row's result does not depend on its batch.
+    """
+    x = np.array(x, dtype=float)
+    if len(x) == 0:
+        return x, np.zeros(0, dtype=bool)
+    active = np.arange(len(x))
+    F = residual(x, active)
+    best = np.linalg.norm(F, axis=-1)
+    for _ in range(config.newton_max_iter):
+        active = active[best[active] >= tol]
+        if len(active) == 0:
+            break
+        J = jacobian(x[active], active)
+        Jt = np.swapaxes(J, -1, -2)
+        JJt = J @ Jt
+        ok = np.abs(np.linalg.det(JJt)) > 1e-300
+        active, Jt, JJt = active[ok], Jt[ok], JJt[ok]
+        step = (Jt @ np.linalg.solve(JJt, F[active][..., None]))[..., 0]
+        pending = np.ones(len(active), dtype=bool)
+        scale = 1.0
+        for _ in range(6):
+            idx = np.nonzero(pending)[0]
+            if len(idx) == 0:
+                break
+            rows = active[idx]
+            cand = x[rows] - scale * step[idx]
+            Fc = residual(cand, rows)
+            norm = np.linalg.norm(Fc, axis=-1)
+            better = norm < best[rows]
+            took = rows[better]
+            x[took], F[took] = cand[better], Fc[better]
+            best[took] = norm[better]
+            pending[idx[better]] = False
+            scale *= 0.5
+        active = active[~pending]
+    return x, best < tol
+
+
 def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCount:
     """Mapping degree at a regular value of a map (theta, r, phi) -> S^3.
 
     The domain is the box [0, 2pi) x [0, pi] x [0, 2pi) with periodic first
     and last coordinates.  Preimages are located by a coarse grid prefilter
-    followed by a batched Newton iteration in the tangent chart of the
-    value, deduplicated within _DEDUPE_RADIUS after embedding the
-    periodic angles by cosine and sine, and signed by the sign of
-    det[value, J columns].  Raises NonRegularValueError when any preimage
+    followed by _newton to config.newton_tol on the coordinates in the
+    tangent chart of the value, deduplicated within _DEDUPE_RADIUS after
+    embedding the periodic angles by cosine and sine, and signed by the sign
+    of det[value, J columns].  Raises NonRegularValueError when any preimage
     fails the Jacobian regularity threshold.
     """
     v = _unit(np.asarray(value, dtype=float))
@@ -352,27 +402,16 @@ def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCou
         raise NonRegularValueError("grid approaches the value but no "
                                    "candidate cell isolates a preimage")
 
-    x = np.concatenate(cand)
-    alive = np.ones(len(x), dtype=bool)
-    for _ in range(config.newton_max_iter):
-        F = fn(x) @ basis
-        res = np.linalg.norm(F, axis=-1)
-        if res[alive].size == 0 or res[alive].max() < config.newton_tol:
-            break
-        JF = np.einsum("ki,...ij->...kj", basis.T, jac(x))
-        good = np.abs(np.linalg.det(JF)) > 1e-14
-        alive &= good
-        step = np.zeros_like(x)
-        step[good] = np.linalg.solve(JF[good], F[good][..., None])[..., 0]
-        norms = np.linalg.norm(step, axis=-1, keepdims=True)
-        step = np.where(norms > 0.5, step * (0.5 / np.maximum(norms, 0.5)),
-                        step)
-        x = x - np.where(alive[:, None], step, 0.0)
+    def residual(p, _rows):
+        return fn(p) @ basis
 
-    vals = fn(x)
-    F = vals @ basis
-    ok = (np.linalg.norm(F, axis=-1) < 100 * config.newton_tol) & alive
-    ok &= vals @ v > 0.5
+    def jacobian(p, _rows):
+        return np.einsum("ki,...ij->...kj", basis.T, jac(p))
+
+    x, ok = _newton(np.concatenate(cand), residual, jacobian,
+                    config.newton_tol, config)
+    # the chart residual also vanishes at preimages of -v
+    ok &= fn(x) @ v > 0.5
     ok &= (x[:, 1] > 1e-7) & (x[:, 1] < np.pi - 1e-7)
     x = x[ok]
     if len(x) == 0:
@@ -419,41 +458,16 @@ def positive_tangent_basis(constraint, x, config: Config) -> np.ndarray:
     return basis
 
 
-def _refine(x, residual, tol, config: Config):
-    """Damped Gauss-Newton onto {F = 0}, or None when it stalls.
-
-    residual(x) -> (F, J).  Each Gauss-Newton step is halved up to eight
-    times until the residual norm drops; the iterate is returned once that
-    norm is below tol.
-    """
-    F, J = residual(x)
-    best = np.linalg.norm(F)
-    for _ in range(config.newton_max_iter):
-        if best < tol:
-            return x
-        step, *_ = np.linalg.lstsq(J, F, rcond=None)
-        scale = 1.0
-        for _ in range(8):
-            cand = x - scale * step
-            Fc, Jc = residual(cand)
-            if np.linalg.norm(Fc) < best:
-                x, F, J, best = cand, Fc, Jc, np.linalg.norm(Fc)
-                break
-            scale *= 0.5
-        else:
-            return None
-    return x if best < tol else None
-
-
-def _trace_closed_curve(start, correct, tangent, step, config: Config,
-                        shifts):
+def _trace_closed_curve(start, residual, jacobian, tol, tangent, step,
+                        config: Config, shifts):
     """Predictor-corrector tracing of a closed regular curve through start.
 
-    correct(x) returns a nearby point of the curve or None, tangent(x) the
-    oriented unit tangent.  A failed correction halves the predictor step
-    down to a tenth of config.trace_closure_tol.  The curve has closed when
-    the walk returns to start modulo one of the shift vectors, which list
-    the period lattice (just the zero vector for a curve in R^n).
+    The curve is {F = 0} for the residual and jacobian of _newton, which
+    corrects each predicted point to tol as a batch of one; tangent(x) is
+    the oriented unit tangent.  A failed correction halves the predictor
+    step down to a tenth of config.trace_closure_tol.  The curve has closed
+    when the walk returns to start modulo one of the shift vectors, which
+    list the period lattice (just the zero vector for a curve in R^n).
     """
     def gap(x):
         return min(np.linalg.norm(x - start - s) for s in shifts)
@@ -467,35 +481,35 @@ def _trace_closed_curve(start, correct, tangent, step, config: Config,
             g = gap(x)
             if g < 1.5 * step:
                 h = max(g * 0.5, config.trace_closure_tol * 0.25)
-        cand = None
-        while cand is None and h > config.trace_closure_tol * 0.1:
-            cand = correct(x + h * t)
+        while True:
+            cand, ok = _newton((x + h * t)[None], residual, jacobian, tol,
+                               config)
             h *= 0.5
-        if cand is None:
-            raise ArithmeticError("corrector failed to converge while "
-                                  "tracing a closed curve")
-        x = cand
+            if ok[0]:
+                break
+            if h <= config.trace_closure_tol * 0.1:
+                raise ArithmeticError("corrector failed to converge while "
+                                      "tracing a closed curve")
+        x = cand[0]
         pts.append(x)
         if n > 5 and gap(x) < config.trace_closure_tol:
             return np.array(pts)
     raise ArithmeticError("curve failed to close while tracing")
 
 
-def _trace_fibers(seeds, residual, tangent, config: Config, shifts):
-    """Every closed level curve reached from the seeds, each traced once."""
-    def correct(x):
-        return _refine(x, residual, config.trace_corrector_tol, config)
+def _trace_fibers(seeds, residual, jacobian, tangent, config: Config,
+                  shifts):
+    """Every closed level curve reached from the seeds, each traced once.
 
+    The seeds are refined in one _newton batch before any tracing."""
+    tol = config.trace_corrector_tol
+    refined, ok = _newton(seeds, residual, jacobian, tol, config)
     curves = []
     trees = []
-    for seed in seeds:
-        refined = correct(seed)
-        if refined is None:
+    for x in refined[ok]:
+        if any(tree.query(x)[0] < 3 * config.trace_step for tree in trees):
             continue
-        if any(tree.query(refined)[0] < 3 * config.trace_step
-               for tree in trees):
-            continue
-        curve = _trace_closed_curve(refined, correct, tangent,
+        curve = _trace_closed_curve(x, residual, jacobian, tol, tangent,
                                     config.trace_step, config, shifts)
         curves.append(curve)
         trees.append(cKDTree(np.concatenate([curve + s for s in shifts])))
@@ -507,20 +521,21 @@ def _fibers_param(map_fn, v, config: Config, jac_fn=None, grid=48):
     fn, jac = _box_map(map_fn, jac_fn, config)
     W = np.stack(sphere_tangent_basis(v), axis=0)
 
-    def residual(x):
-        return W @ (fn(x) - v), W @ jac(x)
+    def residual(x, _rows):
+        return (fn(x) - v) @ W.T
+
+    def jacobian(x, _rows):
+        return W @ jac(x)
 
     def tangent(x):
-        _, J = residual(x)
+        J = jacobian(x[None], None)[0]
         t = np.cross(J[0], J[1])
         norm = np.linalg.norm(t)
         if norm < 1e-12:
             raise NonRegularValueError("fiber tangent degenerated; the "
                                        "value is not regular")
-        t = t / norm
-        u = np.linalg.pinv(J)
-        sign = np.sign(np.linalg.det(np.column_stack([t, u[:, 0], u[:, 1]])))
-        return t * sign
+        # no sign fix: det[J; t] = |t|^2 > 0 by the cross product's definition
+        return t / norm
 
     theta = np.linspace(0, 2 * np.pi, grid, endpoint=False)
     r = (np.arange(grid) + 0.5) * np.pi / grid
@@ -533,7 +548,7 @@ def _fibers_param(map_fn, v, config: Config, jac_fn=None, grid=48):
         seeds = seeds[rng.choice(len(seeds), 400, replace=False)]
     shifts = [np.array([2 * np.pi * i, 0.0, 2 * np.pi * j])
               for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    return _trace_fibers(seeds, residual, tangent, config, shifts)
+    return _trace_fibers(seeds, residual, jacobian, tangent, config, shifts)
 
 
 def _fibers_ambient(field, constraint, v, config: Config, samples=120000):
@@ -544,20 +559,20 @@ def _fibers_ambient(field, constraint, v, config: Config, samples=120000):
         return np.concatenate([(field(x) - v) @ W.T, constraint(x)[..., None]],
                               axis=-1)
 
-    def residual(x):
-        return level(x), fd_jacobian(level, x, config.fd_step)
+    def residual(x, _rows):
+        return level(x)
+
+    def jacobian(x, _rows):
+        return fd_jacobian(level, x, config.fd_step)
 
     def tangent(x):
-        _, J = residual(x)
+        J = jacobian(x[None], None)[0]
         t = _cross4(J[0], J[1], J[2])
         norm = np.linalg.norm(t)
         if norm < 1e-12:
             raise NonRegularValueError("fiber tangent degenerated")
-        t = t / norm
-        u = np.linalg.pinv(J)
-        sign = np.sign(np.linalg.det(
-            np.column_stack([J[2], t, u[:, 0], u[:, 1]])))
-        return t * sign
+        # no sign fix: det[J; t] = |t|^2 > 0 by the definition of _cross4
+        return t / norm
 
     rng = np.random.default_rng(config.seed)
     pts = _unit(rng.normal(size=(samples, 4)))
@@ -565,7 +580,8 @@ def _fibers_ambient(field, constraint, v, config: Config, samples=120000):
     seeds = pts[np.linalg.norm(vals - v, axis=-1) < 0.25]
     if len(seeds) > 400:
         seeds = seeds[rng.choice(len(seeds), 400, replace=False)]
-    return _trace_fibers(seeds, residual, tangent, config, [np.zeros(4)])
+    return _trace_fibers(seeds, residual, jacobian, tangent, config,
+                         [np.zeros(4)])
 
 
 def hopf_invariant(map_fn, config: Config = DEFAULT, *, domain="param",
@@ -681,63 +697,59 @@ def _double_point_seeds(family, config: Config):
 def solve_self_intersection(family, config: Config = DEFAULT):
     """Trace the double-point curves of a family member numerically.
 
-    Solves f(x) = f(y) on pairs of distinct points of the domain
-    hypersurface by damped Gauss-Newton from grid-proximity seeds, then
-    follows each solution curve with the predictor-corrector tracer in R^8.
-    Returns a list of SelfIntersection records, one per double curve.
+    Solves the 7 x 8 system f(x) = f(y), G(x) = G(y) = 0 on pairs of
+    points of the domain hypersurface {G = 0}: the first 600 grid-proximity
+    seeds go through _newton in one batch, and the first 80 solutions in
+    seed order whose points lie min_preimage_separation apart are kept.
+    Each solution curve is then followed with the predictor-corrector
+    tracer in R^8.  Returns a list of SelfIntersection records, one per
+    double curve.
     """
     def constraint(x):
         return domain_constraint(x, family.params)
 
-    def residual(z):
-        xy = z.reshape(2, 4)
-        img = family.ambient_eval(xy)
-        jac = family.ambient_jacobian(xy)
-        grad = fd_jacobian(constraint, xy, config.fd_step)
-        F = np.empty(7)
-        F[:5] = img[0] - img[1]
-        F[5:] = constraint(xy)
-        J = np.zeros((7, 8))
-        J[:5, :4] = jac[0]
-        J[:5, 4:] = -jac[1]
-        J[5, :4] = grad[0]
-        J[6, 4:] = grad[1]
-        return F, J
+    def residual(z, _rows):
+        xy = z.reshape(-1, 4)
+        img = family.ambient_eval(xy).reshape(len(z), 2, 5)
+        return np.concatenate([img[:, 0] - img[:, 1],
+                               constraint(xy).reshape(len(z), 2)], axis=1)
 
-    def refine(z):
-        return _refine(z, residual, config.newton_tol, config)
+    def jacobian(z, _rows):
+        xy = z.reshape(-1, 4)
+        jac = family.ambient_jacobian(xy).reshape(len(z), 2, 5, 4)
+        grad = fd_jacobian(constraint, xy, config.fd_step).reshape(
+            len(z), 2, 4)
+        J = np.zeros((len(z), 7, 8))
+        J[:, :5, :4] = jac[:, 0]
+        J[:, :5, 4:] = -jac[:, 1]
+        J[:, 5, :4] = grad[:, 0]
+        J[:, 6, 4:] = grad[:, 1]
+        return J
 
-    seeds = _double_point_seeds(family, config)
-    solved = []
-    for z in seeds[:600]:
-        out = refine(z.copy())
-        if out is None:
-            continue
-        if np.linalg.norm(out[:4] - out[4:]) < config.min_preimage_separation:
-            continue
-        solved.append(out)
-        if len(solved) >= 80:
-            break
+    refined, ok = _newton(_double_point_seeds(family, config)[:600],
+                          residual, jacobian, config.newton_tol, config)
+    ok &= (np.linalg.norm(refined[:, :4] - refined[:, 4:], axis=1)
+           >= config.min_preimage_separation)
+    solved = refined[ok][:80]
     results = []
     consumed = np.zeros(len(solved), dtype=bool)
-    solved_arr = np.array(solved) if solved else np.empty((0, 8))
     swap = [4, 5, 6, 7, 0, 1, 2, 3]
     step = config.double_trace_step
     for idx in range(len(solved)):
         if consumed[idx]:
             continue
-        z0 = solved_arr[idx]
+        z0 = solved[idx]
         prev = [None]
 
         def tangent(z):
-            t = np.linalg.svd(residual(z)[1])[2][-1]
+            t = np.linalg.svd(jacobian(z[None], None)[0])[2][-1]
             if prev[0] is not None and t @ prev[0] < 0:
                 t = -t
             prev[0] = t
             return t
 
-        track = _trace_closed_curve(z0, refine, tangent, step, config,
-                                    [np.zeros(8)])
+        track = _trace_closed_curve(z0, residual, jacobian, config.newton_tol,
+                                    tangent, step, config, [np.zeros(8)])
         # the track passes the swapped start exactly when the two branches
         # over the double curve join into one preimage circle
         merged = bool(np.any(np.linalg.norm(track[1:] - z0[swap], axis=1)
@@ -748,7 +760,7 @@ def solve_self_intersection(family, config: Config = DEFAULT):
             image_curve=family.ambient_eval(x_track),
             merged_cover=merged))
         both = np.concatenate([track, track[:, swap]])
-        consumed |= cKDTree(both).query(solved_arr)[0] < 3 * step
+        consumed |= cKDTree(both).query(solved)[0] < 3 * step
     return results
 
 
@@ -848,7 +860,8 @@ def _fan_crossings(verts, apex, manifold, constraint, seeds, img,
     """Signed count of image crossings through the fan over a polyline.
 
     Solves the 6 x 6 system (image point meets triangle interior, domain
-    constraint) by damped batched Newton from proximity seeds, deduplicates
+    constraint) by _newton to config.newton_tol from proximity seeds, each
+    row's residual reading the ends A, B of its own triangle, deduplicates
     converged solutions, and rejects edge-adjacent or near-tangential
     crossings by raising _DegenerateChain so the caller can re-cone.  img
     holds the images of the seeds.  The seed -> chain query stays unbounded:
@@ -895,14 +908,16 @@ def _fan_crossings(verts, apex, manifold, constraint, seeds, img,
         base = (1 - u)[:, None] * Aw + u[:, None] * Bw
         return (1 - t)[:, None] * base + t[:, None] * apex
 
-    def residual(zz, Aw, Bw):
+    def residual(zz, rows):
         F = np.empty((len(zz), 6))
-        F[:, :5] = manifold.ambient_eval(zz[:, :4]) - chain_of(zz, Aw, Bw)
+        F[:, :5] = (manifold.ambient_eval(zz[:, :4])
+                    - chain_of(zz, A[rows], B[rows]))
         F[:, 5] = constraint(zz[:, :4])
         return F
 
-    def jacobian(zz, Aw, Bw):
+    def jacobian(zz, rows):
         x, u, t = zz[:, :4], zz[:, 4], zz[:, 5]
+        Aw, Bw = A[rows], B[rows]
         J = np.zeros((len(zz), 6, 6))
         J[:, :5, :4] = manifold.ambient_jacobian(x)
         J[:, 5, :4] = fd_jacobian(constraint, x, config.fd_step)
@@ -910,33 +925,7 @@ def _fan_crossings(verts, apex, manifold, constraint, seeds, img,
         J[:, :5, 5] = ((1 - u)[:, None] * Aw + u[:, None] * Bw) - apex
         return J
 
-    alive = np.ones(len(z), dtype=bool)
-    best = np.linalg.norm(residual(z, A, B), axis=1)
-    for _ in range(config.newton_max_iter):
-        work = alive & (best > config.newton_tol)
-        if not work.any():
-            break
-        zw, Aw, Bw = z[work], A[work], B[work]
-        J = jacobian(zw, Aw, Bw)
-        F = residual(zw, Aw, Bw)
-        ok = np.abs(np.linalg.det(J)) > 1e-300
-        step = np.zeros_like(zw)
-        step[ok] = np.linalg.solve(J[ok], F[ok][..., None])[..., 0]
-        zn, bn = zw.copy(), best[work].copy()
-        improved = np.zeros(len(zw), dtype=bool)
-        scale = 1.0
-        for _ in range(6):
-            cand = zw - scale * step
-            fc = np.linalg.norm(residual(cand, Aw, Bw), axis=1)
-            adv = ok & ~improved & (fc < bn)
-            zn[adv], bn[adv] = cand[adv], fc[adv]
-            improved |= adv
-            scale *= 0.5
-        z[work], best[work] = zn, bn
-        widx = np.where(work)[0]
-        alive[widx[~improved]] = False
-
-    conv = alive & (best < 100 * config.newton_tol)
+    z, conv = _newton(z, residual, jacobian, config.newton_tol, config)
     z, tri, A, B = z[conv], tri[conv], A[conv], B[conv]
     u, t = z[:, 4], z[:, 5]
     if np.any((np.abs(u) < edge) | (np.abs(u - 1.0) < edge)

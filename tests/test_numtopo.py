@@ -20,7 +20,8 @@ from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             spherical_cone_link, projected_link,
                             solve_self_intersection, stereographic,
                             stereographic_basis)
-from genimm.numtopo import (_DEDUPE_RADIUS, _dedupe, _periodic_key,
+from genimm import numtopo
+from genimm.numtopo import (_DEDUPE_RADIUS, _dedupe, _newton, _periodic_key,
                             _seeds_near_chain, _star_project)
 
 CFG = Config()
@@ -336,6 +337,96 @@ class TestSelfIntersection:
         assert np.abs(img[:, [0, 1, 4]]).max() < 1e-9
         radius = np.linalg.norm(img[:, 2:4], axis=1)
         assert np.allclose(radius, fam.double_point_radius, atol=1e-9)
+
+    def test_no_seeds_gives_no_curves(self, monkeypatch):
+        monkeypatch.setattr(numtopo, "_double_point_seeds",
+                            lambda family, config: np.empty((0, 8)))
+        assert solve_self_intersection(FamilyMap(HalfInteger(1)), CFG) == []
+
+
+# Three systems in x = (x0, x1, x2), chosen per row through the rows index:
+# kind 0 is square (x2 does not enter), kind 1 is wide (a circle of roots),
+# kind 2 has no root (|F| >= 1).
+_KINDS = np.array([0, 1, 2, 0, 1, 1, 0])
+_STARTS = np.array([[1.0, 1.0, 5.0], [0.9, 0.2, 0.3], [0.5, 0.3, 0.0],
+                    [3.0, 0.2, -1.0], [2.0, -1.0, 0.5], [0.1, 0.1, 0.1],
+                    [1.2, 0.9, 0.0]])
+
+
+def _mixed_residual(x, rows):
+    kind = _KINDS[rows]
+    return np.where(
+        (kind == 0)[:, None],
+        np.stack([x[:, 0]**2 - 2.0, x[:, 0] * x[:, 1] - 1.0], axis=1),
+        np.where((kind == 1)[:, None],
+                 np.stack([(x * x).sum(axis=1) - 1.0, x[:, 2] - x[:, 0]],
+                          axis=1),
+                 np.stack([x[:, 0]**2 + 1.0, x[:, 1]], axis=1)))
+
+
+def _mixed_jacobian(x, rows):
+    kind = _KINDS[rows]
+    zero = np.zeros(len(x))
+    square = np.stack([np.stack([2 * x[:, 0], zero, zero], axis=1),
+                       np.stack([x[:, 1], x[:, 0], zero], axis=1)], axis=1)
+    wide = np.stack([2 * x, np.stack([-1 + zero, zero, 1 + zero], axis=1)],
+                    axis=1)
+    rootless = np.stack([np.stack([2 * x[:, 0], zero, zero], axis=1),
+                         np.stack([zero, 1 + zero, zero], axis=1)], axis=1)
+    return np.where((kind == 0)[:, None, None], square,
+                    np.where((kind == 1)[:, None, None], wide, rootless))
+
+
+class TestNewton:
+    def test_mixed_batch_rows_match_running_alone(self):
+        x, ok = _newton(_STARTS, _mixed_residual, _mixed_jacobian,
+                        CFG.newton_tol, CFG)
+        assert ok.tolist() == [True, True, False, True, True, True, True]
+        res = np.linalg.norm(_mixed_residual(x, np.arange(len(x))), axis=1)
+        assert np.all(res[ok] < CFG.newton_tol)
+        square = ok & (_KINDS == 0)
+        assert np.allclose(x[square, :2], [np.sqrt(2), 1 / np.sqrt(2)])
+        assert np.array_equal(x[square, 2], _STARTS[square, 2])
+        for i in np.nonzero(ok)[0]:
+            xi, oki = _newton(_STARTS[i:i + 1],
+                              lambda p, r, i=i: _mixed_residual(p, r + i),
+                              lambda p, r, i=i: _mixed_jacobian(p, r + i),
+                              CFG.newton_tol, CFG)
+            assert oki[0] and np.array_equal(xi[0], x[i])
+
+    def test_jacobian_only_at_accepted_iterates(self):
+        # Newton on arctan diverges from |x| > 1.39 without damping, so the
+        # step must be halved and rejected trial points occur
+        calls = []
+
+        def residual(p, rows):
+            calls.append(("F", p.copy()))
+            return np.arctan(p)
+
+        def jacobian(p, rows):
+            calls.append(("J", p.copy()))
+            return (1.0 / (1.0 + p**2))[:, :, None]
+
+        x, ok = _newton(np.array([[3.0]]), residual, jacobian,
+                        CFG.newton_tol, CFG)
+        assert ok[0] and abs(x[0, 0]) < CFG.newton_tol
+        kinds = "".join(kind for kind, _ in calls)
+        assert kinds[0] == "F" and "JJ" not in kinds and "FF" in kinds
+        best = np.inf
+        for n, (kind, p) in enumerate(calls):
+            if kind == "F":
+                best = min(best, abs(np.arctan(p[0, 0])))
+            else:
+                # the iterate is the last point tried, the best one so far
+                last = calls[n - 1][1]
+                assert np.array_equal(p, last)
+                assert abs(np.arctan(last[0, 0])) == best
+        assert kinds.count("J") <= CFG.newton_max_iter
+
+    def test_empty_batch(self):
+        x, ok = _newton(np.empty((0, 3)), _mixed_residual, _mixed_jacobian,
+                        CFG.newton_tol, CFG)
+        assert x.shape == (0, 3) and ok.shape == (0,)
 
 
 class TestHausdorff:
