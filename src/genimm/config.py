@@ -6,8 +6,9 @@ the 0.35/0.2 grid thresholds in ``degree_S3``, the 1e-6 dedupe radius of
 converged solutions, the 400-seed caps of the fiber finders, the
 0.25/0.08/0.025 chain seed radii and 60,000/150,000 chain sample sizes,
 the 600-seed and 80-solution caps of ``solve_self_intersection``, the 1e-5
-fan-edge margin, the 8e-3 framing shift and the 6 step halvings of the
-batched Newton ``numtopo._newton``.  A config can be loaded from a flat
+fan-edge margin, the 8e-3 framing shift, the 6 step halvings of the
+batched Newton ``numtopo._newton`` and the dim 6 up to which ``qform.brown``
+certifies its splitting by the Gauss sum.  A config can be loaded from a flat
 ``key = value`` file; the ``GENIMM_CONFIG`` environment variable overrides
 the default config path only, never individual values.
 """
@@ -22,9 +23,8 @@ ENV_CONFIG_PATH = "GENIMM_CONFIG"
 
 @dataclasses.dataclass(frozen=True)
 class Config:
-    # exact-arithmetic enumeration caps
-    max_qform_dim: int = 24          # gauss_sum enumerates 2**dim vectors
-    max_split_search_dim: int = 12   # exhaustive isotropic-subspace search cap
+    # exact-arithmetic enumeration cap
+    max_qform_dim: int = 24          # q_table enumerates 2**dim vectors
 
     # generic numerical engines
     degree_grid: int = 64            # seeds per axis for degree preimage search

@@ -271,16 +271,21 @@ def test_config_env_var_is_honoured(capsys, tmp_path, monkeypatch):
 
 
 def test_qform_cap_from_config_is_an_input_error(capsys, tmp_path):
+    # only the enumeration is capped; brown and split answer at any dim
     cfg = tmp_path / "genimm.cfg"
     cfg.write_text("max_qform_dim = 3\n")
     path = tmp_path / "space.json"
     path.write_text(qform.direct_sum_many([qform.p_plus()] * 4).to_json())
-    for action in ("brown", "split", "table"):
-        code, out, err = run(capsys, "--config", str(cfg), "qform", action,
-                             "--space", str(path))
-        assert code == 2, action
-        assert out == ""
-        assert err.startswith("genimm: ") and "cap 3" in err
+    for action, expected in (("brown", "brown = 4 (dim 4)\n"),
+                             ("split", "split: no\n")):
+        code, out, _ = run(capsys, "--config", str(cfg), "qform", action,
+                           "--space", str(path))
+        assert (code, out) == (0, expected), action
+    code, out, err = run(capsys, "--config", str(cfg), "qform", "table",
+                         "--space", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("genimm: ") and "cap 3" in err
 
 
 def test_qform_internal_error_is_not_an_input_error(capsys, tmp_path,

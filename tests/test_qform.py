@@ -124,11 +124,15 @@ def test_q_table_matches_extend_q():
 
 
 def test_q_table_honours_the_config_cap():
+    # the cap binds the enumeration only; brown and is_split never enumerate
+    # beyond their certificate, which the cap switches off
     s = direct_sum_many([p_plus()] * 4)
     with pytest.raises(qform.DimensionCapError, match="cap 3"):
         q_table(s, Config(max_qform_dim=3))
     with pytest.raises(qform.DimensionCapError, match="cap 3"):
-        brown(s, Config(max_qform_dim=3))
+        gauss_sum(s, Config(max_qform_dim=3))
+    assert brown(s, Config(max_qform_dim=3)) == 4
+    assert not is_split(s, Config(max_qform_dim=3))
     assert len(q_table(s, Config(max_qform_dim=4))) == 16
 
 
@@ -158,6 +162,61 @@ def test_gauss_sum_magnitude_exact():
         s = random_space(int(rng.integers(1, 8)), rng)
         g = gauss_sum(s)
         assert g.norm_squared() == CyclotomicEight.from_int(2 ** s.dim)
+
+
+def gauss_exponent(space):
+    """The m with gauss_sum = sqrt(2)**dim * zeta**m, by exact search."""
+    g = gauss_sum(space)
+    scale = SQRT2 ** space.dim
+    return next(m for m in range(8)
+                if scale * CyclotomicEight.zeta_power(m) == g)
+
+
+def test_brown_matches_gauss_sum_exponent():
+    # the splitting checked against the 2**dim enumeration; dims above 6
+    # are not certified inside brown, so this is their only oracle
+    rng = np.random.default_rng(23)
+    dims = [1 + k % 12 for k in range(1200)]
+    for dim in dims:
+        s = random_space(dim, rng)
+        assert brown(s) == gauss_exponent(s), s.to_json()
+
+
+def test_brown_invariant_under_change_of_basis():
+    # a random block sum in a random basis: nowhere block diagonal, and of
+    # dims far beyond the enumeration cap
+    rng = np.random.default_rng(29)
+    blocks = (p_plus, p_minus, t_zero, t_four)
+    values = (1, 7, 0, 4)
+    for dim_target in (40, 71, 100):
+        kinds = []
+        while sum(blocks[k]().dim for k in kinds) < dim_target:
+            kinds.append(int(rng.integers(0, 4)))
+        block = direct_sum_many([blocks[k]() for k in kinds])
+        n = block.dim
+        while True:
+            change = rng.integers(0, 2, size=(n, n))
+            if qform._det_mod2(change) == 1:
+                break
+        mat = change @ block.matrix() @ change.T % 2
+        q = [extend_q(block, row) for row in change]
+        s = QuadraticSpace(mat, q)
+        expected = sum(values[k] for k in kinds) % 8
+        assert n > qform.DEFAULT.max_qform_dim
+        assert np.count_nonzero(mat[: n // 2, n // 2:]) > 0
+        assert brown(s) == expected
+        assert is_split(s) == (expected == 0)
+
+
+def test_brown_certificate_disagreement_raises(monkeypatch):
+    s = direct_sum(t_four(), p_plus())
+    monkeypatch.setattr(qform, "_brown_by_splitting", lambda space: 1)
+    with pytest.raises(ValueError, match="Brown invariant 1 by splitting "
+                                         "disagrees with the Gauss sum"):
+        brown(s)
+    # beyond the certified dims nothing is enumerated to disagree with
+    big = direct_sum_many([p_plus()] * 7)
+    assert brown(big) == 1
 
 
 def test_brown_additive_under_direct_sum():
@@ -204,6 +263,58 @@ def test_witt_group_is_cyclic_of_order_eight():
 
 # ---------------------------------------------------------------------------
 # splitness
+
+
+def split_by_search(space):
+    """True if V has a half-dimensional subspace on which q vanishes.
+
+    On a subspace where q = 0 the law forces the pairing to vanish as well,
+    so a depth-first search over q-null vectors orthogonal to the partial
+    basis is exhaustive.  Exponential: the reference for small dims.
+    """
+    n = space.dim
+    if n % 2 != 0:
+        return False
+    if n == 0:
+        return True
+    mat = space.matrix()
+    qs = q_table(space)
+    vectors = np.arange(1, 1 << n, dtype=np.int64)
+    null = [int(v) for v in vectors[qs[1:] == 0]]
+    if not null:
+        return False
+
+    shifts = np.arange(n)
+
+    def pairs_to_zero(v, w):
+        vb = (v >> shifts) & 1
+        wb = (w >> shifts) & 1
+        return int(vb @ mat @ wb) % 2 == 0
+
+    def search(depth, span, candidates):
+        if depth == n // 2:
+            return True
+        for pos, v in enumerate(candidates):
+            if v in span:
+                continue
+            keep = [w for w in candidates[pos + 1:] if pairs_to_zero(v, w)]
+            new_span = span | frozenset(s ^ v for s in span)
+            if search(depth + 1, new_span, keep):
+                return True
+        return False
+
+    return search(0, frozenset({0}), null)
+
+
+def test_is_split_matches_exhaustive_search():
+    rng = np.random.default_rng(31)
+    seen = set()
+    for dim in (2, 4, 6) * 40:
+        s = random_space(dim, rng)
+        expected = split_by_search(s)
+        seen.add(expected)
+        assert is_split(s) == expected, s.to_json()
+    assert seen == {True, False}
 
 
 def test_t_zero_splits_t_four_does_not():

@@ -69,6 +69,17 @@ def test_brown_parity_equals_euler_parity():
             assert beta_surface(desc) % 2 == euler(desc) % 2
 
 
+def test_mu_on_a_hundred_crosscap_state():
+    # H_1 of rank 100, far beyond the enumeration cap of the config
+    quad = qform.direct_sum_many([qform.p_plus()] * 60
+                                 + [qform.p_minus()] * 40)
+    desc = SurfaceDescriptor((SurfaceComponent(False, 100),),
+                             StrataCounts(quadruple_points=2), quad)
+    state = ImmersionState4(desc, Q=2, T=0, D=-98)
+    assert beta_surface(desc) == (60 + 7 * 40) % 8
+    assert mu(state) == 0
+
+
 def test_state_validation():
     desc = SurfaceDescriptor((SPHERE,), StrataCounts(quadruple_points=2))
     ImmersionState4(desc, Q=2, T=1, D=2)
