@@ -352,15 +352,11 @@ def _framing_field(fam: FamilyMap, u, offset: float, rot: float):
     return point, w
 
 
-def _framing_null_homologous(fam: FamilyMap, rot: float,
-                             config: Config) -> bool:
-    """Check the defining condition on a preimage framing.
+def _framing_curves(fam: FamilyMap, rot: float, config: Config):
+    """The preimage circles and their shifts along the framing field.
 
-    The framing is admissible when the union of shifted preimage circles
-    is null homologous in the complement of the preimage link, i.e. when
-    for every component the total linking of all shifted components with
-    it vanishes.  Curves live on the domain hypersurface, star shaped
-    about the origin, so ray linking applies directly.
+    Returns (curves, shifted): one circle of 2 * curve_points vertices for
+    a half-odd m, two of curve_points vertices for an integer m.
     """
     delta = 8e-3
     n = config.curve_points
@@ -374,6 +370,20 @@ def _framing_null_homologous(fam: FamilyMap, rot: float,
     for g, off in grids:
         point, w = _framing_field(fam, g, off, rot)
         shifted.append(point + delta * w)
+    return curves, shifted
+
+
+def _framing_null_homologous(fam: FamilyMap, rot: float,
+                             config: Config) -> bool:
+    """Check the defining condition on a preimage framing.
+
+    The framing is admissible when the union of shifted preimage circles
+    is null homologous in the complement of the preimage link, i.e. when
+    for every component the total linking of all shifted components with
+    it vanishes.  Curves live on the domain hypersurface, star shaped
+    about the origin, so ray linking applies directly.
+    """
+    curves, shifted = _framing_curves(fam, rot, config)
     for base in curves:
         total = 0
         for shift in shifted:

@@ -4,11 +4,16 @@ The engines here are chart free.  Curves produced elsewhere in the package
 live on a closed hypersurface in R^4 that is star shaped about the origin,
 so each curve is faithfully described by the rays through its points and can
 be normalized onto the unit 3-sphere whenever a common reference is needed.
-Linking numbers are computed two independent ways: exactly on polylines via
-solid angles of the Gauss map after a stereographic projection, and exactly
-via signed crossings through a spherical cone.  Agreement of the two is used
-as a runtime consistency check by the callers.  Degree and fiber routines
-run batched Newton iterations seeded from coarse grids.
+Linking numbers of curve pairs have three engines.  After a stereographic
+projection to R^3, gauss_link sums the solid angles of the Gauss map over
+all segment pairs exactly, and crossing_link counts the signed crossings of
+a generic planar projection, certified and near linear in the number of
+vertices; on the 3-sphere of rays, spherical_cone_link counts the signed
+crossings through a spherical cone.  hopf_invariant links each fiber pair
+with gauss_link and spherical_cone_link and requires them to agree;
+projected_link, which runs the framing check of invariants.lk_of_family,
+uses crossing_link.  Degree and fiber routines run batched Newton
+iterations seeded from coarse grids.
 
 Derivatives without a closed form come from the one central-difference
 helper, geometry.fd_jacobian.  Every equation, square or wide, is solved by
@@ -22,6 +27,7 @@ deduplicated by _dedupe within _DEDUPE_RADIUS.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -119,6 +125,108 @@ def gauss_link(curve_a, curve_b, config: Config = DEFAULT) -> int:
     return rounded
 
 
+# A projected crossing closer than this fraction of either segment to one of
+# its ends, or at a sine of angle below it, is not called: the direction of
+# projection is replaced instead.
+_CROSSING_MARGIN = 1e-6
+
+
+def _projected_crossings(a, b, d, config: Config):
+    """Signed a-over-b crossing count of a and b projected along d, or None.
+
+    With (w1, w2) completing d to a positive frame, the crossing of a(s)
+    over b(t) (a - b a positive multiple of d) carries sign det[a', b', d],
+    the cross product of the projected tangents; summing over the crossings
+    of a over b gives the linking number, and so does minus the sum over
+    those of b over a.  Returns None when a crossing is within
+    _CROSSING_MARGIN of a segment end, near parallel, has an over/under gap
+    below config.min_image_separation, or the two sums differ.
+    """
+    w1, w2 = sphere_tangent_basis(d)
+    frame = np.column_stack([w1, w2])
+    a_next = np.roll(a, -1, axis=0)
+    b_next = np.roll(b, -1, axis=0)
+    pa, pb = a @ frame, b @ frame
+    ua, ub = a_next @ frame - pa, b_next @ frame - pb
+    len_a = np.linalg.norm(ua, axis=1)
+    len_b = np.linalg.norm(ub, axis=1)
+    mid_a, mid_b = pa + 0.5 * ua, pb + 0.5 * ub
+    # a point of line a at parameter s in (-m, 1 + m) lies within
+    # (1/2 + m) |ua| of the midpoint, so no pair the margin test reads is
+    # dropped here
+    m = _CROSSING_MARGIN
+    near = cKDTree(mid_a).query_ball_tree(
+        cKDTree(mid_b), (0.5 + m) * (len_a.max() + len_b.max()))
+    i = np.repeat(np.arange(len(a)), [len(js) for js in near])
+    j = np.fromiter(itertools.chain.from_iterable(near), dtype=int,
+                    count=len(i))
+    reach = (np.linalg.norm(mid_a[i] - mid_b[j], axis=1)
+             <= (0.5 + m) * (len_a[i] + len_b[j]))
+    i, j = i[reach], j[reach]
+
+    def cross2(u, v):
+        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+    den = cross2(ua[i], ub[j])
+    w = pb[j] - pa[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = cross2(w, ub[j]) / den
+        t = cross2(w, ua[i]) / den
+    # exactly parallel pairs (den = 0) give nan or inf here and count as
+    # not crossing; a projected overlap ends where a vertex lies on the
+    # other curve, which the margin below catches
+    close = (s > -m) & (s < 1 + m) & (t > -m) & (t < 1 + m)
+    clean = ((s >= m) & (s <= 1 - m) & (t >= m) & (t <= 1 - m)
+             & (np.abs(den) >= m * len_a[i] * len_b[j]))
+    if np.any(close & ~clean):
+        return None
+    i, j, s, t, den = i[clean], j[clean], s[clean], t[clean], den[clean]
+    height_a = (a[i] + s[:, None] * (a_next[i] - a[i])) @ d
+    height_b = (b[j] + t[:, None] * (b_next[j] - b[j])) @ d
+    gap = height_a - height_b
+    if np.any(np.abs(gap) < config.min_image_separation):
+        return None
+    sign = np.sign(den).astype(int)
+    a_over_b = int(sign[gap > 0].sum())
+    b_over_a = -int(sign[gap < 0].sum())
+    return a_over_b if a_over_b == b_over_a else None
+
+
+def crossing_link(curve_a, curve_b, config: Config = DEFAULT,
+                  direction=None) -> int:
+    """Linking number of two closed polylines in R^3 by crossing count.
+
+    The signed count of crossings of a over b in a generic planar
+    projection (Rolfsen, Knots and Links, 5.D), with the sign convention of
+    gauss_link.  Segment pairs are paired by a kd-tree on projected
+    midpoints within the sum of the largest projected half-lengths and
+    intersected in the plane, so the cost is near linear in the number of
+    vertices.  The count is certified, not rounded: a direction with a
+    crossing near a vertex, a near-parallel crossing, an over/under gap
+    below config.min_image_separation, or unequal a-over-b and b-over-a
+    counts is replaced by a fresh one, max(1, config.apex_retries) times
+    in all, after which ArithmeticError is raised.  A given direction is
+    the only one tried.
+    """
+    a = _drop_duplicate_endpoint(curve_a)
+    b = _drop_duplicate_endpoint(curve_b)
+    if a.shape[1] != 3 or b.shape[1] != 3:
+        raise ValueError("curves must lie in R^3")
+    if cKDTree(b).query(a)[0].min() < config.min_image_separation:
+        raise ValueError("curves are too close to link reliably")
+    if direction is not None:
+        directions = [_unit(direction)]
+    else:
+        rng = np.random.default_rng(config.seed + 3)
+        directions = _unit(rng.normal(size=(max(1, config.apex_retries), 3)))
+    for d in directions:
+        total = _projected_crossings(a, b, d, config)
+        if total is not None:
+            return total
+    raise ArithmeticError("no generic projection direction found for the "
+                          "crossing count")
+
+
 # ---------------------------------------------------------------------------
 # stereographic projection
 
@@ -171,13 +279,17 @@ def projected_link(curve_a, curve_b, config: Config = DEFAULT, pole=None) -> int
     """Linking number of two closed curves given by rays in R^4.
 
     Curves are normalized onto the unit sphere, projected stereographically
-    away from a pole clear of both, and linked with the Gauss formula.
+    away from a pole clear of both, and linked by the certified crossing
+    count of crossing_link, near linear in the number of vertices.  This is
+    the engine of the framing check in invariants.lk_of_family; the Hopf
+    fiber pairs are linked by gauss_link and spherical_cone_link instead.
     """
     a = _unit(_drop_duplicate_endpoint(curve_a))
     b = _unit(_drop_duplicate_endpoint(curve_b))
     if pole is None:
         pole = choose_pole([a, b], config)
-    return gauss_link(stereographic(a, pole), stereographic(b, pole), config)
+    return crossing_link(stereographic(a, pole), stereographic(b, pole),
+                         config)
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +706,8 @@ def hopf_invariant(map_fn, config: Config = DEFAULT, *, domain="param",
     domain="ambient" expects map_fn(x) for x in R^4 near {constraint = 0}.
     Each fiber is traced, oriented so that the differential carries a
     positive complement onto the chosen tangent basis at the value, pushed
-    onto the unit 3-sphere, and linked with both linking engines; the two
-    must agree.  A map that misses a value is null homotopic, giving 0.
+    onto the unit 3-sphere, and linked with gauss_link and
+    spherical_cone_link; the two must agree.  A map that misses a value is null homotopic, giving 0.
 
     Sign normalization: the quaternionic rotation map x -> x i conj(x) has
     Hopf invariant +1.  This is the convention the closed-form frame columns

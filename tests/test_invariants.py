@@ -15,8 +15,10 @@ from genimm.invariants import (Component5, EmbeddingTest, ImmersionState5,
                                connected_sum5, embedding_test, family_state,
                                lambda_, lk_of_family, reverse_orientation,
                                smale_of_family, tau)
-from genimm.invariants import _framing_null_homologous
+from genimm.invariants import _framing_curves, _framing_null_homologous
 from genimm.geometry import FamilyMap
+from genimm.numtopo import (_unit, choose_pole, gauss_link, projected_link,
+                            stereographic)
 from genimm.surfaces import (ImmersionState4, RP2, StrataCounts,
                              SurfaceDescriptor, TORUS, rp3_fixture)
 
@@ -249,6 +251,35 @@ def test_self_intersection_framing_admissibility():
     assert _framing_null_homologous(fam, -1.0, DEFAULT)
     assert not _framing_null_homologous(fam, 0.0, DEFAULT)
     assert not _framing_null_homologous(fam, 1.0, DEFAULT)
+
+
+def test_framing_admissibility_of_both_handedness_candidates():
+    # -2m turns per sweep are admissible and +2m are not, as the Gauss sum
+    # over all segment pairs found for 2m = 1..4
+    for twice in (1, 2, 3, 4):
+        fam = FamilyMap(HalfInteger(twice))
+        assert _framing_null_homologous(fam, -twice, DEFAULT)
+        assert not _framing_null_homologous(fam, twice, DEFAULT)
+
+
+def test_framing_check_crossing_count_matches_gauss_sum():
+    # m = 1 and m = 2: two preimage circles of 1024 points and their two
+    # shifts, both handedness candidates, linked on one projection
+    values = []
+    for twice in (2, 4):
+        fam = FamilyMap(HalfInteger(twice))
+        for rot in (-twice, twice):
+            curves, shifted = _framing_curves(fam, rot, DEFAULT)
+            for base in curves:
+                for shift in shifted:
+                    a, b = _unit(shift), _unit(base)
+                    pole = choose_pole([a, b], DEFAULT)
+                    gauss = gauss_link(stereographic(a, pole),
+                                       stereographic(b, pole), DEFAULT)
+                    assert projected_link(shift, base, DEFAULT,
+                                          pole=pole) == gauss
+                    values.append(gauss)
+    assert len(values) == 16 and len(set(values)) > 2
 
 
 def test_self_intersection_linking_of_family_members():

@@ -15,11 +15,12 @@ from genimm.geometry import (FamilyMap, HalfInteger, classical_hopf,
                              column_m1, column_m1_jacobian, column_n1,
                              domain_constraint)
 from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
-                            degree_S3, gauss_link, gauss_link_raw,
+                            crossing_link, degree_S3, gauss_link,
+                            gauss_link_raw,
                             hausdorff_distance, hopf_invariant,
                             spherical_cone_link, projected_link,
                             solve_self_intersection, stereographic,
-                            stereographic_basis)
+                            sphere_tangent_basis, stereographic_basis)
 from genimm import numtopo
 from genimm.numtopo import (_DEDUPE_RADIUS, _dedupe, _newton, _periodic_key,
                             _seeds_near_chain, _star_project)
@@ -91,6 +92,127 @@ class TestGaussLink:
         b = circle3(center=(2.0 + 1e-6, 0.0, 0.0))
         with pytest.raises(ValueError):
             gauss_link(a, b, CFG)
+
+
+def torus_knot(p, q, n, major=2.0, minor=0.5):
+    t = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    rho = major + minor * np.cos(q * t)
+    return np.stack([rho * np.cos(p * t), rho * np.sin(p * t),
+                     minor * np.sin(q * t)], axis=1)
+
+
+def perturbed(curve, rng, size):
+    """A closed curve moved by a random smooth displacement."""
+    t = np.linspace(0, 2 * np.pi, len(curve), endpoint=False)[:, None]
+    c = size * rng.normal(size=(3, 2, 3))
+    return curve + sum(c[k, 0] * np.cos((k + 1) * t)
+                       + c[k, 1] * np.sin((k + 1) * t) for k in range(3))
+
+
+def degenerate_pair(kind):
+    """A square a and a loop b through it, linked once, whose projection
+    along z puts a vertex of b on an edge of a at both crossings, once
+    under and once over, so that skipping both would still balance the
+    over and under counts ("vertex"), or has b pass 9e-5 above an edge of
+    a ("gap")."""
+    a = np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0],
+                  [-1.0, 1.0, 0.0]])
+    if kind == "vertex":
+        back = [[1.0, 0.2, -0.5], [2.0, 0.3, -1.0], [1.0, 0.0, 0.5]]
+    else:
+        back = [[2.0, 0.3, -1.0], [1.5, 0.1, 9e-5], [0.5, -0.1, 9e-5]]
+    b = np.array([[0.1, 0.0, 1.0], [-0.1, 0.1, -1.0]] + back)
+    return a, b
+
+
+class TestCrossingLink:
+    def test_matches_gauss_on_perturbed_polygons(self):
+        rng = np.random.default_rng(5)
+        values = []
+        for _ in range(6):
+            a = perturbed(circle3(300), rng, 0.15)
+            b = perturbed(circle3(300, center=(1.0, 0.0, 0.0),
+                                  axes=((1, 0, 0), (0, 0, 1))), rng, 0.15)
+            lk = gauss_link(a, b, CFG)
+            assert crossing_link(a, b, CFG) == lk
+            values.append(lk)
+        assert -1 in values
+
+    def test_torus_knots_link_their_core_q_times(self):
+        core = circle3(400, radius=2.0)
+        for p, q in ((2, 3), (3, 2), (3, 5), (1, -4)):
+            knot = torus_knot(p, q, 900)
+            lk = gauss_link(knot, core, CFG)
+            assert abs(lk) == abs(q)
+            assert crossing_link(knot, core, CFG) == lk
+            assert crossing_link(core, knot, CFG) == lk
+
+    def test_reversal_flips_sign(self):
+        a, b = hand_link_pair(360)
+        assert crossing_link(a, b, CFG) == gauss_link(a, b, CFG) == -1
+        assert crossing_link(a[::-1], b, CFG) == 1
+        assert crossing_link(a, b[::-1], CFG) == 1
+        assert crossing_link(a[::-1], b[::-1], CFG) == -1
+
+    def test_unlinked_pairs(self):
+        rng = np.random.default_rng(6)
+        a = circle3(300)
+        far = circle3(300, center=(4.0, 0.0, 0.0), axes=((1, 0, 0), (0, 0, 1)))
+        side = circle3(300, center=(3.0, 0.0, 0.0))
+        # a circle above the plane of a: in projection it crosses a twice
+        # with opposite signs
+        above = circle3(300, center=(1.2, 0.3, 0.5))
+        for b in (far, side, above, perturbed(above, rng, 0.05)):
+            assert crossing_link(a, b, CFG) == gauss_link(a, b, CFG) == 0
+
+    def test_independent_of_direction(self):
+        a, b = hand_link_pair(360)
+        knot, core = torus_knot(2, 3, 600), circle3(300, radius=2.0)
+        rng = np.random.default_rng(8)
+        for d in rng.normal(size=(5, 3)):
+            assert crossing_link(a, b, CFG, direction=d) == -1
+            assert crossing_link(knot, core, CFG, direction=d) == \
+                gauss_link(knot, core, CFG)
+
+    def test_vertex_and_gap_degeneracies_replace_the_direction(self,
+                                                               monkeypatch):
+        # rotate each pair so that its degenerate direction z becomes the
+        # first direction crossing_link draws
+        first = np.random.default_rng(CFG.seed + 3).normal(size=3)
+        first /= np.linalg.norm(first)
+        rot = np.column_stack([*sphere_tangent_basis(first), first])
+        tried = []
+        count = numtopo._projected_crossings
+
+        def spy(a, b, d, config):
+            tried.append(d)
+            return count(a, b, d, config)
+
+        monkeypatch.setattr(numtopo, "_projected_crossings", spy)
+        for kind in ("vertex", "gap"):
+            a, b = (c @ rot.T for c in degenerate_pair(kind))
+            lk = gauss_link(a, b, CFG)
+            assert abs(lk) == 1
+            with pytest.raises(ArithmeticError):
+                crossing_link(a, b, CFG, direction=first)
+            tried.clear()
+            assert crossing_link(a, b, CFG) == lk
+            assert len(tried) == 2 and np.allclose(tried[0], first)
+
+    def test_degenerate_direction_exhausts_retries(self):
+        a, b = degenerate_pair("vertex")
+        cfg = CFG.replace(apex_retries=0)
+        with pytest.raises(ArithmeticError):
+            crossing_link(a, b, cfg, direction=(0.0, 0.0, 1.0))
+        assert abs(crossing_link(a, b, cfg)) == 1
+
+    def test_touching_curves_rejected(self):
+        a = circle3()
+        b = circle3(center=(2.0 + 1e-6, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            crossing_link(a, b, CFG)
+        with pytest.raises(ValueError):
+            crossing_link(a[:, :2], b[:, :2], CFG)
 
 
 class TestStereographic:
