@@ -198,7 +198,7 @@ def crossing_link(curve_a, curve_b, config: Config = DEFAULT,
 
     The signed count of crossings of a over b in a generic planar
     projection (Rolfsen, Knots and Links, 5.D), with the sign convention of
-    gauss_link.  Segment pairs are paired by a kd-tree on projected
+    gauss_link.  Segments are paired by a kd-tree on their projected
     midpoints within the sum of the largest projected half-lengths and
     intersected in the plane, so the cost is near linear in the number of
     vertices.  The count is certified, not rounded: a direction with a
