@@ -176,6 +176,18 @@ _ROW_HEADER = ("m", "omega", "lk", "lambda", "tau", "J", "L", "St",
                "embeddable", "mode")
 
 
+def _state_invariants(state: ImmersionState5) -> dict:
+    return {
+        "omega": state.omega,
+        "lk": state.lk,
+        "lambda": invariants.lambda_(state),
+        "tau": invariants.tau(state),
+        "J": invariants.J(state),
+        "L": invariants.L(state),
+        "St": invariants.St(state),
+    }
+
+
 def _invariant_row(m: HalfInteger, config: Config, numeric: bool) -> dict:
     state = family_state(m, config)
     mode = "closed-form"
@@ -187,18 +199,8 @@ def _invariant_row(m: HalfInteger, config: Config, numeric: bool) -> dict:
                                 f"({omega_num}, {lk_num}) disagrees with "
                                 f"closed form ({state.omega}, {state.lk})")
         mode = "both-agree"
-    return {
-        "m": str(m),
-        "omega": state.omega,
-        "lk": state.lk,
-        "lambda": invariants.lambda_(state),
-        "tau": invariants.tau(state),
-        "J": invariants.J(state),
-        "L": invariants.L(state),
-        "St": invariants.St(state),
-        "embeddable": state.omega % 24 == 0,
-        "mode": mode,
-    }
+    return {"m": str(m), **_state_invariants(state),
+            "embeddable": state.omega % 24 == 0, "mode": mode}
 
 
 def _format_table(rows: list[dict]) -> str:
@@ -234,16 +236,8 @@ def _cmd_invariants(args, config: Config) -> int:
         _emit(args, payload, human)
         return 0
     # action == "state"
-    state = _parse_json(args.state, ImmersionState5.from_json)
-    payload = {
-        "omega": state.omega,
-        "lk": state.lk,
-        "lambda": invariants.lambda_(state),
-        "tau": invariants.tau(state),
-        "J": invariants.J(state),
-        "L": invariants.L(state),
-        "St": invariants.St(state),
-    }
+    payload = _state_invariants(
+        _parse_json(args.state, ImmersionState5.from_json))
     human = "\n".join(f"{k} = {v}" for k, v in payload.items())
     _emit(args, payload, human)
     return 0

@@ -4,12 +4,15 @@ Every field here is read by some engine, and a config file naming a key
 that is not a field is rejected.  Some engines still hard-code constants:
 the 0.35/0.2 grid thresholds in ``degree_S3``, the 1e-6 dedupe radius of
 converged solutions, the 400-seed caps of the fiber finders, the
-0.25/0.08/0.025 chain seed radii and 60,000/150,000 chain sample sizes,
-the 600-seed and 80-solution caps of ``solve_self_intersection``, the 1e-5
-fan-edge margin, the 1e-6 vertex and parallel margin of the projected
-crossings of ``numtopo.crossing_link``, the 8e-3 framing shift, the 6 step
-halvings of the batched Newton ``numtopo._newton`` and the dim 6 up to
-which ``qform.brown`` certifies its splitting by the Gauss sum.  A config
+0.25/0.08/0.025 chain seed radii and the 60,000-point start and
+150,000-point draws of the chain seed search, the 600-seed and
+80-solution caps of ``solve_self_intersection``, the 1e-5 vertex margin
+and the 0.06 tilt from e5 of the curtain directions of
+``numtopo.link_1cycle_3manifold``, the 1e-6 vertex and parallel margin of
+the projected crossings of ``numtopo.crossing_link``, the 8e-3 framing
+shift, the 6 step halvings of the batched Newton ``numtopo._newton`` and
+the dim 6 up to which ``qform.brown`` certifies its splitting by the Gauss
+sum.  A config
 can be loaded from a flat ``key = value`` file; the ``GENIMM_CONFIG``
 environment variable overrides the default config path only, never
 individual values.
@@ -46,8 +49,7 @@ class Config:
     integer_rounding_margin: float = 0.25
 
     # 1-cycle vs 3-manifold linking in 5-space
-    apex_distance: float = 9.0
-    apex_retries: int = 5            # cone apexes and projection directions
+    apex_retries: int = 5            # projection directions, spherical-cone apexes
 
     # self-intersection solver
     pair_seed_radius: float = 0.08

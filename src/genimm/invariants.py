@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from . import numtopo, surfaces
+from . import numtopo, qform, surfaces
 from .config import Config, DEFAULT
 from .geometry import (FamilyMap, HalfInteger, column_m1, column_m1_jacobian,
                        column_n1, column_n1_jacobian, domain_constraint)
@@ -97,18 +97,12 @@ class ImmersionState5:
 
     @staticmethod
     def from_json(text: str) -> "ImmersionState5":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON: {exc}") from exc
-        for key in ("omega", "lk"):
-            if key not in data:
-                raise ValueError(f"missing key {key!r}")
-        if "schema" in data and data["schema"] != 1:
-            raise ValueError(f"unsupported schema {data['schema']!r}")
+        data = qform.loads_record(text, ("omega", "lk"), ("components",))
         comps = tuple(Component5(bool(c["preimage_connected"]),
                                  int(c["twist_class"]))
-                      for c in data.get("components", []))
+                      for c in qform.json_records(
+                          data.get("components", []),
+                          ("preimage_connected", "twist_class")))
         return ImmersionState5(int(data["omega"]), int(data["lk"]), comps)
 
 
@@ -496,7 +490,8 @@ def lk_of_family(m, config: Config = DEFAULT) -> int:
     condition is verified by ray linking before use.  The image double
     circle is then pushed off along the sum of the two framed sheet
     directions and its class in the homology of the image complement is
-    the signed cone-chain crossing count.  Closed form: -4m.
+    the signed count of image crossings through the curtain that the
+    pushoff sweeps along a projection direction near e5.  Closed form: -4m.
     """
     m = HalfInteger.parse(m)
     if m.twice == 0:

@@ -12,12 +12,16 @@ vertices; on the 3-sphere of rays, spherical_cone_link counts the signed
 crossings through a spherical cone.  hopf_invariant links each fiber pair
 with gauss_link and spherical_cone_link and requires them to agree;
 projected_link, which runs the framing check of invariants.lk_of_family,
-uses crossing_link.  Degree and fiber routines run batched Newton
+uses crossing_link.  A closed curve K in R^5 is linked with an immersed
+3-sphere by link_1cycle_3manifold, which counts the signed crossings of
+the image through the curtain {K(s) + lambda d : lambda >= 0} that K
+sweeps along a direction d near e5, drawing a new direction when a
+crossing is not generic.  Degree and fiber routines run batched Newton
 iterations seeded from coarse grids.
 
 Derivatives without a closed form come from the one central-difference
 helper, geometry.fd_jacobian.  Every equation, square or wide, is solved by
-the one batched damped Gauss-Newton, _newton: degree preimages, fan
+the one batched damped Gauss-Newton, _newton: degree preimages, curtain
 crossings, fiber and double-curve seeds, and the corrector of the one
 predictor-corrector tracer, _trace_closed_curve, which follows closed level
 curves (Hopf fibers and double-point curves).  Converged solutions are
@@ -406,7 +410,7 @@ def _box_map(map_fn, jac_fn, config: Config):
 
 
 # Duplicate Newton solutions agree to ~1e-8 and distinct ones are >= 0.08
-# apart, both in degree_S3 and in _fan_crossings.
+# apart, both in degree_S3 and in _curtain_crossings.
 _DEDUPE_RADIUS = 1e-6
 
 
@@ -881,7 +885,8 @@ def solve_self_intersection(family, config: Config = DEFAULT):
 
 
 class _DegenerateChain(Exception):
-    """Internal: a crossing fell on a triangle edge or was near-tangential."""
+    """Internal: a curtain crossing fell near a vertex line or was
+    near-tangential."""
 
 
 def _star_project(directions, constraint):
@@ -909,28 +914,11 @@ def _star_project(directions, constraint):
                                "not star shaped enough for the chain seeds")
 
 
-def _chain_samples(verts, apex):
-    """Sample lattice on the triangle fan: flat (points, triangle, u, t)."""
-    n = len(verts)
-    seg_b = verts[np.roll(np.arange(n), -1)]
-    t_grid = np.concatenate([np.geomspace(1e-5, 0.02, 14, endpoint=False),
-                             np.arange(0.02, 0.96, 0.015)])
-    u_grid = np.array([0.25, 0.75])
-    base = ((1 - u_grid)[:, None, None] * verts[None]
-            + u_grid[:, None, None] * seg_b[None])
-    pts = ((1 - t_grid)[:, None, None, None] * base[None]
-           + t_grid[:, None, None, None] * apex)
-    shape = pts.shape[:-1]
-    tri = np.broadcast_to(np.arange(n)[None, None, :], shape).ravel()
-    u = np.broadcast_to(u_grid[None, :, None], shape).ravel()
-    t = np.broadcast_to(t_grid[:, None, None], shape).ravel()
-    return pts.reshape(-1, 5), tri, u, t
-
-
-def _seeds_near_chain(chain_tree, manifold, constraint, config: Config,
+def _seeds_near_chain(chain_tree, image, constraint, config: Config,
                       extra=None):
     """Domain points whose images come near the chain, by ray refinement.
 
+    image(x) maps (N, 4) domain points into the space of chain_tree.
     Starts from a quasi-uniform radial sample of the domain hypersurface
     and keeps jitter-refining the points whose images approach the chain.
     Each round keeps the points within its radius of the chain, adds fan
@@ -948,8 +936,7 @@ def _seeds_near_chain(chain_tree, manifold, constraint, config: Config,
                                 (0.08, 0.02, 6),
                                 (0.025, None, 0)):
         # farther points come back as inf, and only dist < radius is read
-        dist = chain_tree.query(manifold.ambient_eval(pts),
-                                distance_upper_bound=radius)[0]
+        dist = chain_tree.query(image(pts), distance_upper_bound=radius)[0]
         keep = pts[dist < radius]
         if jitter is None:
             return keep
@@ -967,96 +954,67 @@ def _seeds_near_chain(chain_tree, manifold, constraint, config: Config,
     return pts
 
 
-def _fan_crossings(verts, apex, manifold, constraint, seeds, img,
-                   chain_data, config: Config) -> int:
-    """Signed count of image crossings through the fan over a polyline.
+def _flatten(points, d):
+    """Points projected along the unit vector d onto its normal hyperplane."""
+    return points - (points @ d)[..., None] * d
 
-    Solves the 6 x 6 system (image point meets triangle interior, domain
-    constraint) by _newton to config.newton_tol from proximity seeds, each
-    row's residual reading the ends A, B of its own triangle, deduplicates
-    converged solutions, and rejects edge-adjacent or near-tangential
-    crossings by raising _DegenerateChain so the caller can re-cone.  img
-    holds the images of the seeds.  The seed -> chain query stays unbounded:
-    tri_s[idx] is read before the radius mask, so a missing neighbour's
-    index len(chain_pts) would be out of range.
+
+def _curtain_crossings(verts, d, seg, manifold, constraint, seeds, img,
+                       config: Config) -> int:
+    """Signed count of image crossings through the curtain over a polyline.
+
+    Seed i, with image img[i], is paired with segment A B = verts[seg[i]],
+    verts[seg[i] + 1] and started at its projected foot point: u clipped to
+    [0, 1] and lambda the height of its image above A + u (B - A) along d.
+    The 6 x 6 system f(x) = A + u (B - A) + lambda d, G(x) = 0 is solved by
+    _newton to config.newton_tol; converged rows with lambda > 0 and u in
+    (0, 1) are deduplicated and signed.  A crossing within 1e-5 in u of a
+    vertex or failing the transversality threshold raises _DegenerateChain
+    so the caller can draw a new direction.
     """
-    n = len(verts)
-    seg_a = verts
-    seg_b = verts[np.roll(np.arange(n), -1)]
     edge = 1e-5
-
-    chain_pts, tri_s, u_s, t_s = chain_data
-    # Pair in the seed -> chain direction: every seed mapping near the fan
-    # launches Newton at its closest chain samples.  The reverse direction
-    # (closest seeds per chain sample) starves sheets of a double circle
-    # whose images coincide, since the nearest-image list can be exhausted
-    # by a single sheet.
-    kc = min(6, len(chain_pts))
-    dist, idx = cKDTree(chain_pts).query(img, k=kc)
-    dist = dist.reshape(len(img), kc)
-    idx = idx.reshape(len(img), kc)
-    pair_seed = []
-    pair_row = []
-    for j in range(kc):
-        good = dist[:, j] < config.pair_seed_radius
-        if j > 0:
-            good &= np.all(tri_s[idx[:, j, None]]
-                           != tri_s[idx[:, :j]], axis=1)
-        pair_seed.append(np.nonzero(good)[0])
-        pair_row.append(idx[good, j])
-    pair_seed = np.concatenate(pair_seed)
-    pair_row = np.concatenate(pair_row)
-    if len(pair_seed) == 0:
-        return 0
-    if len(pair_seed) > 60000:
-        stride = len(pair_seed) // 60000 + 1
-        pair_seed, pair_row = pair_seed[::stride], pair_row[::stride]
-    tri = tri_s[pair_row]
-    z = np.column_stack([seeds[pair_seed], u_s[pair_row], t_s[pair_row]])
-    A, B = seg_a[tri], seg_b[tri]
-
-    def chain_of(zz, Aw, Bw):
-        u, t = zz[:, 4], zz[:, 5]
-        base = (1 - u)[:, None] * Aw + u[:, None] * Bw
-        return (1 - t)[:, None] * base + t[:, None] * apex
+    A = verts[seg]
+    E = np.roll(verts, -1, axis=0)[seg] - A
+    flat_e = _flatten(E, d)
+    u0 = np.clip(np.einsum("ij,ij->i", img - A, flat_e)
+                 / np.einsum("ij,ij->i", flat_e, flat_e), 0.0, 1.0)
+    lam0 = (img - A - u0[:, None] * E) @ d
+    z = np.column_stack([seeds, u0, lam0])
 
     def residual(zz, rows):
         F = np.empty((len(zz), 6))
-        F[:, :5] = (manifold.ambient_eval(zz[:, :4])
-                    - chain_of(zz, A[rows], B[rows]))
+        F[:, :5] = (manifold.ambient_eval(zz[:, :4]) - A[rows]
+                    - zz[:, 4, None] * E[rows] - zz[:, 5, None] * d)
         F[:, 5] = constraint(zz[:, :4])
         return F
 
     def jacobian(zz, rows):
-        x, u, t = zz[:, :4], zz[:, 4], zz[:, 5]
-        Aw, Bw = A[rows], B[rows]
+        x = zz[:, :4]
         J = np.zeros((len(zz), 6, 6))
         J[:, :5, :4] = manifold.ambient_jacobian(x)
         J[:, 5, :4] = fd_jacobian(constraint, x, config.fd_step)
-        J[:, :5, 4] = -(1 - t)[:, None] * (Bw - Aw)
-        J[:, :5, 5] = ((1 - u)[:, None] * Aw + u[:, None] * Bw) - apex
+        J[:, :5, 4] = -E[rows]
+        J[:, :5, 5] = -d
         return J
 
     z, conv = _newton(z, residual, jacobian, config.newton_tol, config)
-    z, tri, A, B = z[conv], tri[conv], A[conv], B[conv]
-    u, t = z[:, 4], z[:, 5]
-    if np.any((np.abs(u) < edge) | (np.abs(u - 1.0) < edge)
-              | (np.abs(t - 1.0) < edge)):
-        raise _DegenerateChain("crossing on a fan edge")
-    inside = (u > edge) & (u < 1 - edge) & (t > 1e-7) & (t < 1 - edge)
-    z, tri, A, B = z[inside], tri[inside], A[inside], B[inside]
+    ahead = conv & (z[:, 5] > 0)
+    z, E = z[ahead], E[ahead]
+    u = z[:, 4]
+    if np.any((np.abs(u) < edge) | (np.abs(u - 1.0) < edge)):
+        raise _DegenerateChain("crossing near a vertex")
+    inside = (u > 0) & (u < 1)
+    z, E = z[inside], E[inside]
     if len(z) == 0:
         return 0
 
-    key = np.column_stack([z[:, :4], chain_of(z, A, B)])
     total = 0
-    for k in _dedupe(key, _DEDUPE_RADIUS):
-        x, u, t = z[k, :4], z[k, 4], z[k, 5]
+    for k in _dedupe(z[:, :4], _DEDUPE_RADIUS):
+        x = z[k, :4]
         nu = manifold.ambient_jacobian(x)
-        basis = positive_tangent_basis(constraint, x, config)
-        cu = (1 - t) * (B[k] - A[k])
-        ct = apex - ((1 - u) * A[k] + u * B[k])
-        D = np.column_stack([cu, ct, nu @ basis])
+        D = np.column_stack([E[k], d,
+                             nu @ positive_tangent_basis(constraint, x,
+                                                         config)])
         val = np.linalg.det(D)
         if abs(val) < config.jacobian_min_det * np.prod(
                 np.linalg.norm(D, axis=0)):
@@ -1066,25 +1024,31 @@ def _fan_crossings(verts, apex, manifold, constraint, seeds, img,
 
 
 def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
-                          apex=None, domain_seeds=None) -> int:
+                          direction=None, domain_seeds=None) -> int:
     """Linking number in R^5 of a closed curve with an immersed 3-sphere.
 
-    curve is a closed polyline in R^5 disjoint from the image of manifold,
-    an immersion exposing vectorized ambient_eval / ambient_jacobian over
-    the star-shaped domain hypersurface {domain_constraint(., params) = 0}.
-    The class of the curve in H_1 of the image complement is the signed
-    count of crossings of the image through any 2-chain bounding the curve;
-    the chain used here is the triangle fan coning the polyline to a far
-    apex.  Crossings are solved per triangle from proximity seeds and
-    signed by
+    curve is a closed polyline K in R^5 disjoint from the image of
+    manifold, an immersion exposing vectorized ambient_eval /
+    ambient_jacobian over the star-shaped domain hypersurface
+    {domain_constraint(., params) = 0}.  The class of the curve in H_1 of
+    the image complement is the signed count of crossings of the image
+    through any 2-chain bounding the curve; the chain used here is the
+    curtain {K(s) + lambda d : lambda >= 0} that K sweeps along a unit
+    direction d, the cone over K from the point at infinity in direction d.
+    Seeds are domain points whose images lie within 0.025 of K once both
+    are projected along d, and each crossing, solved on the segment of its
+    seed, is signed by
 
-        det[d chain/du, d chain/dt, f_* b1, f_* b2, f_* b3]
+        det[B - A, d, f_* b1, f_* b2, f_* b3]
 
-    with (b_i) a positive tangent basis of the domain, outward normal
-    first, so a curve bounding a small disk that meets the image once
-    positively gets +1.  The count is independent of the apex; a crossing
-    within 1e-5 of a fan edge or failing the transversality threshold
-    triggers a re-cone from a perturbed apex, config.apex_retries times.
+    with A B the segment and (b_i) a positive tangent basis of the domain,
+    outward normal first, so a curve bounding a small disk that meets the
+    image once positively gets +1.  The count is independent of d.  The
+    directions are unit(e5 + 0.06 N(0, I)) drawn from config.seed + 11: a
+    crossing within 1e-5 of a vertex or failing the transversality
+    threshold moves on to the next, max(1, config.apex_retries) in all,
+    after which NonRegularValueError is raised.  A given direction is the
+    only one tried.
 
     domain_seeds, optional (N, 4) points on the domain, augment the
     built-in ray-refinement seed search; pass them when the immersion has
@@ -1097,33 +1061,36 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
     def constraint(x):
         return domain_constraint(x, manifold.params)
 
-    rng = np.random.default_rng(config.seed + 11)
+    if direction is not None:
+        directions = [_unit(direction)]
+    else:
+        rng = np.random.default_rng(config.seed + 11)
+        directions = _unit(np.eye(5)[4] + 0.06 * rng.normal(
+            size=(max(1, config.apex_retries), 5)))
+    # the points at u = 1/4 and 3/4 of each segment; sample i lies on
+    # segment i mod n
+    nxt = np.roll(verts, -1, axis=0)
+    samples = np.concatenate([0.75 * verts + 0.25 * nxt,
+                              0.25 * verts + 0.75 * nxt])
     last_err = None
-    for attempt in range(max(1, config.apex_retries)):
-        if apex is None:
-            z = _unit(rng.normal(size=5)) * 0.06 * config.apex_distance
-            z[4] += config.apex_distance * (1.0 + 0.1 * attempt)
-        else:
-            z = np.asarray(apex, dtype=float).copy()
-            if attempt:
-                z = z + _unit(rng.normal(size=5)) * 0.02 * np.linalg.norm(z)
-        chain_data = _chain_samples(verts, z)
-        chain_tree = cKDTree(chain_data[0])
-        seeds = _seeds_near_chain(chain_tree, manifold, constraint, config,
-                                  extra=domain_seeds)
+    for d in directions:
+        tree = cKDTree(_flatten(samples, d))
+        seeds = _seeds_near_chain(
+            tree, lambda x: _flatten(manifold.ambient_eval(x), d),
+            constraint, config, extra=domain_seeds)
         if seeds is None or len(seeds) == 0:
             return 0
         img = manifold.ambient_eval(seeds)
-        if np.linalg.norm(z) < 2.0 * np.linalg.norm(img, axis=1).max():
-            raise ValueError("cone apex must lie far outside the image")
         if cKDTree(img).query(verts)[0].min() < config.min_image_separation:
             raise ValueError("curve passes too close to the image to link")
+        seg = tree.query(_flatten(img, d))[1] % len(verts)
         try:
-            return _fan_crossings(verts, z, manifold, constraint, seeds,
-                                  img, chain_data, config)
+            return _curtain_crossings(verts, d, seg, manifold, constraint,
+                                      seeds, img, config)
         except _DegenerateChain as err:
             last_err = err
-    raise NonRegularValueError(f"no generic cone apex found: {last_err}")
+    raise NonRegularValueError(f"no generic projection direction found: "
+                               f"{last_err}")
 
 
 def _directed_polyline_dist(pts, poly) -> float:

@@ -55,10 +55,6 @@ class CyclotomicEight:
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
     @staticmethod
-    def zero() -> "CyclotomicEight":
-        return CyclotomicEight((0, 0, 0, 0))
-
-    @staticmethod
     def one() -> "CyclotomicEight":
         return CyclotomicEight((1, 0, 0, 0))
 
@@ -122,16 +118,55 @@ class CyclotomicEight:
     def norm_squared(self) -> "CyclotomicEight":
         return self * self.conjugate()
 
-    def is_rational(self) -> bool:
-        return self.coeffs[1] == self.coeffs[2] == self.coeffs[3] == 0
-
     def complex(self) -> complex:
         z = np.exp(1j * np.pi / 4)
         return sum(c * z**i for i, c in enumerate(self.coeffs))
 
 
 SQRT2 = CyclotomicEight((0, 1, 0, -1))  # zeta - zeta**3 = sqrt(2)
-I_UNIT = CyclotomicEight.zeta_power(2)
+
+
+# ---------------------------------------------------------------------------
+# JSON records, shared by the from_json readers of the package
+
+
+def json_record(data, required: Sequence[str],
+                optional: Sequence[str] = ()) -> dict:
+    """data, checked to be a JSON object with every required key and no
+    key beyond those and the optional ones; ValueError otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"expected a JSON object, got {type(data).__name__}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+    for key in data:
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown key {key!r}")
+    return data
+
+
+def json_records(data, required: Sequence[str],
+                 optional: Sequence[str] = ()) -> list:
+    """data, checked to be a JSON list of json_record objects."""
+    if not isinstance(data, list):
+        raise ValueError(
+            f"expected a JSON list, got {type(data).__name__}")
+    return [json_record(item, required, optional) for item in data]
+
+
+def loads_record(text: str, required: Sequence[str],
+                 optional: Sequence[str] = ()) -> dict:
+    """JSON text parsed into a json_record, which may also carry a
+    "schema" key; the only schema read is 1."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON: {exc}") from exc
+    json_record(data, required, (*optional, "schema"))
+    if data.get("schema", 1) != 1:
+        raise ValueError(f"unsupported schema {data['schema']!r}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +244,7 @@ class QuadraticSpace:
 
     @staticmethod
     def from_json(text: str) -> "QuadraticSpace":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON: {exc}") from exc
-        for key in ("dim", "pairing", "q"):
-            if key not in data:
-                raise ValueError(f"missing key {key!r}")
-        if "schema" in data and data["schema"] != 1:
-            raise ValueError(f"unsupported schema {data['schema']!r}")
+        data = loads_record(text, ("dim", "pairing", "q"))
         space = QuadraticSpace(data["pairing"], data["q"])
         if space.dim != data["dim"]:
             raise ValueError("dim field does not match pairing size")
@@ -395,9 +422,6 @@ def t_zero() -> QuadraticSpace:
 
 def t_four() -> QuadraticSpace:
     return QuadraticSpace([[0, 1], [1, 0]], [2, 2])
-
-
-STANDARD = {"P+": p_plus, "P-": p_minus, "T0": t_zero, "T4": t_four}
 
 
 @dataclasses.dataclass(frozen=True)

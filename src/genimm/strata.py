@@ -94,15 +94,8 @@ class StratumEvent:
 
     @staticmethod
     def from_json(text: str) -> "StratumEvent":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON: {exc}") from exc
-        for key in ("kind", "sign"):
-            if key not in data:
-                raise ValueError(f"missing key {key!r}")
-        if "schema" in data and data["schema"] != 1:
-            raise ValueError(f"unsupported schema {data['schema']!r}")
+        data = qform.loads_record(text, ("kind", "sign"),
+                                  ("operand", "detail"))
         return StratumEvent(data["kind"], int(data["sign"]),
                             tuple(data.get("operand", ())),
                             data.get("detail"))

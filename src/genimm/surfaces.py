@@ -102,18 +102,16 @@ class SurfaceDescriptor:
 
     @staticmethod
     def from_json(text: str) -> "SurfaceDescriptor":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON: {exc}") from exc
-        if "components" not in data:
-            raise ValueError("missing key 'components'")
-        if "schema" in data and data["schema"] != 1:
-            raise ValueError(f"unsupported schema {data['schema']!r}")
+        data = qform.loads_record(text, ("components",),
+                                  ("strata", "quad_data"))
         comps = tuple(SurfaceComponent(bool(c["orientable"]),
                                        int(c["genus_or_crosscaps"]))
-                      for c in data["components"])
-        strata = StrataCounts(**data.get("strata", {}))
+                      for c in qform.json_records(
+                          data["components"],
+                          ("orientable", "genus_or_crosscaps")))
+        strata = StrataCounts(**qform.json_record(
+            data.get("strata", {}), (),
+            [f.name for f in dataclasses.fields(StrataCounts)]))
         quad = None
         if data.get("quad_data") is not None:
             quad = qform.QuadraticSpace.from_json(json.dumps(data["quad_data"]))

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from genimm import cli, qform
@@ -78,6 +79,16 @@ def test_surface_info(capsys, tmp_path):
     assert data["beta"] == 1
 
 
+def test_surface_info_rejects_unknown_strata_key(capsys, tmp_path):
+    data = json.loads(rp3_fixture().surface.to_json())
+    data["strata"]["quintuple_points"] = 0
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "surface", "info", "--surface", str(path))
+    assert code == 2
+    assert "quintuple_points" in err
+
+
 # ---------------------------------------------------------------------------
 # family / numtopo
 
@@ -120,6 +131,20 @@ def test_numtopo_link_rejects_bad_curve(capsys, tmp_path):
                        "--curve", str(path))
     assert code == 2
     assert "n x 5" in err
+
+
+def test_numtopo_link_counts_a_meridian(capsys, tmp_path):
+    # a small circle about a point of the round part of the image, in its
+    # normal plane spanned by the radial direction and e5
+    p = np.array([0.9, 0.0, np.sqrt(0.19), 0.0, 0.0])
+    t = np.linspace(0, 2 * np.pi, 400, endpoint=False)[:, None]
+    curve = p + 0.05 * (np.cos(t) * p + np.sin(t) * np.eye(5)[4])
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"schema": 1, "points": curve.tolist()}))
+    code, out, _ = run(capsys, "numtopo", "link", "--m", "1/2",
+                       "--curve", str(path))
+    assert code == 0
+    assert out.startswith("link with the image 3-sphere = -1\n")
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +192,17 @@ def test_invariants_state_file(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["lambda"] == 2 and data["St"] == 1 and data["J"] == 1
+
+
+def test_invariants_state_rejects_component_without_twist_class(capsys,
+                                                                 tmp_path):
+    data = json.loads(ImmersionState5(1, 2, (Component5(True, 1),)).to_json())
+    del data["components"][0]["twist_class"]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "invariants", "state", "--state", str(path))
+    assert code == 2
+    assert "twist_class" in err
 
 
 # ---------------------------------------------------------------------------

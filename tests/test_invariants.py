@@ -80,6 +80,22 @@ def test_state_json_rejects_malformed_input():
         ImmersionState5.from_json(json.dumps(good))
 
 
+@pytest.mark.parametrize("change", [
+    lambda d: d.update(components=[1]),
+    lambda d: d.update(components={"twist_class": 1}),
+    lambda d: d["components"][0].pop("twist_class"),
+    lambda d: d["components"][0].update(sheets=2),
+    lambda d: d.update(extra=1),
+])
+def test_state_json_rejects_malformed_records(change):
+    data = json.loads(F_HALF.to_json())
+    change(data)
+    with pytest.raises(ValueError):
+        ImmersionState5.from_json(json.dumps(data))
+    with pytest.raises(ValueError):
+        ImmersionState5.from_json("3")
+
+
 def test_regular_homotopy_classes_form_a_group():
     a, b = RegularHomotopyClass(3), RegularHomotopyClass(-5)
     assert (a + b).omega == -2

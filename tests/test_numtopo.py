@@ -18,6 +18,7 @@ from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             crossing_link, degree_S3, gauss_link,
                             gauss_link_raw,
                             hausdorff_distance, hopf_invariant,
+                            link_1cycle_3manifold,
                             spherical_cone_link, projected_link,
                             solve_self_intersection, stereographic,
                             sphere_tangent_basis, stereographic_basis)
@@ -663,9 +664,50 @@ def test_seeds_near_chain_matches_the_project_everything_search():
     ref, capped = _seeds_near_chain_reference(tree, fam, constraint, CFG)
     assert capped == [True, True]
     assert len(ref) > 10000
-    seeds = _seeds_near_chain(tree, fam, constraint, CFG)
+    seeds = _seeds_near_chain(tree, fam.ambient_eval, constraint, CFG)
     assert seeds.shape == ref.shape
     assert np.allclose(seeds, ref, rtol=0, atol=1e-12)
+
+
+class TestCurtainLink:
+    """A meridian of the image: a small circle about a point p of the
+    round part of the m = 1/2 image, in the normal plane spanned by the
+    radial direction n and e5.  Traversed from n towards e5 it bounds a
+    disk oriented (n, e5), which meets the image once with sign
+    det[n, e5, b1, b2, b3] = -det[n, b1, b2, b3, e5] = -1."""
+
+    fam = FamilyMap("1/2", config=CFG)
+    p = np.array([0.9, 0.0, np.sqrt(0.19), 0.0, 0.0])
+    e5 = np.eye(5)[4]
+
+    def meridian(self, vertex_count=400):
+        t = np.linspace(0, 2 * np.pi, vertex_count, endpoint=False)[:, None]
+        return self.p + 0.05 * (np.cos(t) * self.p + np.sin(t) * self.e5)
+
+    def test_meridian_links_minus_one(self):
+        assert np.allclose(self.fam.ambient_eval(self.p[None, :4]), self.p)
+        assert link_1cycle_3manifold(self.meridian(), self.fam, CFG) == -1
+
+    def test_reversal_flips_sign(self):
+        assert link_1cycle_3manifold(self.meridian()[::-1], self.fam,
+                                     CFG) == 1
+
+    def test_lifted_meridian_is_unlinked(self):
+        # seen along e5 it covers the meridian, but its curtain rises away
+        # from the image
+        lifted = self.meridian() + 0.5 * self.e5
+        assert link_1cycle_3manifold(lifted, self.fam, CFG) == 0
+
+    def test_independent_of_direction(self):
+        for d in ((0.1, -0.2, 0.05, 0.3, 1.0), (0.3, 0.5, -0.2, 0.4, -1.0)):
+            assert link_1cycle_3manifold(self.meridian(), self.fam, CFG,
+                                         direction=d) == -1
+
+    def test_direction_through_a_vertex_is_rejected(self):
+        # the vertex line of vertex 0 along -n runs through p
+        with pytest.raises(NonRegularValueError):
+            link_1cycle_3manifold(self.meridian(), self.fam, CFG,
+                                  direction=-self.p)
 
 
 class TestSignedCount:

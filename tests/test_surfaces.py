@@ -1,5 +1,7 @@
 """Surface descriptors, their invariants, and the projective-space fixture."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,22 @@ def test_json_round_trip():
     assert back == desc
     bare = SurfaceDescriptor((KLEIN,))
     assert SurfaceDescriptor.from_json(bare.to_json()) == bare
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: d.update(components=[1]),
+    lambda d: d.update(components={"orientable": True}),
+    lambda d: d["components"][0].pop("orientable"),
+    lambda d: d["components"][0].update(handles=1),
+    lambda d: d.update(strata=[0]),
+    lambda d: d["strata"].update(quintuple_points=0),
+    lambda d: d.update(quad_data=3),
+    lambda d: d.update(extra=1),
+])
+def test_json_rejects_malformed_records(change):
+    data = json.loads(rp3_fixture().surface.to_json())
+    change(data)
+    with pytest.raises(ValueError):
+        SurfaceDescriptor.from_json(json.dumps(data))
+    with pytest.raises(ValueError):
+        SurfaceDescriptor.from_json("[]")
