@@ -120,8 +120,13 @@ def whitney_kink_jacobian(x, y):
 
 
 def smooth_step(t):
-    """C-infinity step: identically 0 for t <= 0, identically 1 for t >= 1."""
+    """C-infinity step: identically 0 for t <= 0, identically 1 for t >= 1,
+    values returned without the bump for arrays wholly on one side."""
     t = np.asarray(t, dtype=float)
+    if (t <= 0).all():
+        return np.zeros_like(t)
+    if (t >= 1).all():
+        return np.ones_like(t)
     def bump(s):
         out = np.zeros_like(s)
         pos = s > 0
@@ -137,11 +142,14 @@ def blended_kink(x, y, config: Config = DEFAULT):
 
     Equals the kink for radius <= r1 and the inclusion (x, y, 0, 0) for
     radius >= r2, with a C-infinity radial blend in between, preserving the
-    symmetry L o g o R = g under the simultaneous half-turns.
+    symmetry L o g o R = g under the simultaneous half-turns.  With no point
+    of radius > r1 the blend weight is exactly 0: the kink alone is returned.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rho = np.hypot(x, y)
+    if not (rho > config.kink_r1).any():
+        return whitney_kink(x, y)
     s = smooth_step((rho - config.kink_r1) / (config.kink_r2 - config.kink_r1))
     g = whitney_kink(x, y)
     flat = np.stack([x, y, np.zeros_like(x), np.zeros_like(x)], axis=-1)
@@ -217,10 +225,13 @@ def profile_height(s, params: KinkParams):
     """Height zeta(s) of the domain hypersurface over planar radius s.
 
     Flat at sqrt(1 - 9 a^2) for s <= 2a, round sqrt(1 - s^2) for s >= 4a,
-    C-infinity blend between.
+    C-infinity blend between.  When every s <= 2a the blend weight is
+    exactly 0, so the round part is skipped and the flat height returned.
     """
     s = np.asarray(s, dtype=float)
     h = params.cap_height
+    if (s <= 2 * params.a).all():
+        return np.full_like(s, h)
     round_part = np.sqrt(np.clip(1 - np.minimum(s, 1.0)**2, 0.0, None))
     sigma = smooth_step((s - 2 * params.a) / (2 * params.a))
     return (1 - sigma) * h + sigma * round_part
@@ -265,37 +276,35 @@ class FamilyMap:
         Accepts shape (..., 4); returns shape (..., 5).  Points with
         |(x1, x2)| >= a are fixed (the family equals the swept embedding
         there); inside, the spun kink formula applies.  The formula extends
-        smoothly off M, which the constrained solvers rely on.
+        smoothly off M, which the constrained solvers rely on.  Batches
+        wholly inside or outside skip a mixed batch's gather and scatter.
         """
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 1
-        x = np.atleast_2d(x)
+        inside = np.hypot(x[..., 0], x[..., 1]) < self.params.a
+        if inside.all():
+            return self._spun_kink(x)
         out = np.zeros(x.shape[:-1] + (5,))
         out[..., :4] = x
-        mval = self.m.value
-        a = self.params.a
-        c = self.params.kink_scale
+        if inside.any():
+            out[inside] = self._spun_kink(x[inside])
+        return out
 
-        sbar = np.hypot(x[..., 0], x[..., 1])
-        inside = sbar < a
-        if np.any(inside):
-            xi, eta = x[inside, 0], x[inside, 1]
-            x3, x4 = x[inside, 2], x[inside, 3]
-            wbar = np.hypot(x3, x4)
-            theta = np.arctan2(x4, x3)
-            cm, sm = np.cos(mval * theta), np.sin(mval * theta)
-            # R_{-m theta} on the disk
-            xi_r, eta_r = _rot2(cm, -sm, xi, eta)
-            g = blended_kink(xi_r / c, eta_r / c, self.config)
-            z1, z2 = c * g[..., 0], c * g[..., 1]
-            z3 = wbar - c * g[..., 2]
-            z4 = c * g[..., 3]
-            # E_theta then L_{m theta}
-            y1, y2 = _rot2(cm, sm, z1, z2)
-            ct, st = np.cos(theta), np.sin(theta)
-            block = np.stack([y1, y2, z3 * ct, z3 * st, z4], axis=-1)
-            out[inside] = block
-        return out[0] if scalar else out
+    def _spun_kink(self, x) -> np.ndarray:
+        """The spun kink formula at the points x, shape (..., 4)."""
+        out = np.empty(x.shape[:-1] + (5,))
+        c = self.params.kink_scale
+        theta = np.arctan2(x[..., 3], x[..., 2])
+        cm, sm = np.cos(self.m.value * theta), np.sin(self.m.value * theta)
+        # R_{-m theta} on the disk
+        xi_r, eta_r = _rot2(cm, -sm, x[..., 0], x[..., 1])
+        g = blended_kink(xi_r / c, eta_r / c, self.config)
+        # E_theta then L_{m theta}
+        out[..., 0], out[..., 1] = _rot2(cm, sm, c * g[..., 0], c * g[..., 1])
+        z3 = np.hypot(x[..., 2], x[..., 3]) - c * g[..., 2]
+        out[..., 2] = z3 * np.cos(theta)
+        out[..., 3] = z3 * np.sin(theta)
+        out[..., 4] = c * g[..., 3]
+        return out
 
     def torus_coords_point(self, theta, r, phi) -> np.ndarray:
         """Domain point of M for torus coordinates, shape (..., 4)."""

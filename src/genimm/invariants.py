@@ -97,13 +97,13 @@ class ImmersionState5:
 
     @staticmethod
     def from_json(text: str) -> "ImmersionState5":
-        data = qform.loads_record(text, ("omega", "lk"), ("components",))
-        comps = tuple(Component5(bool(c["preimage_connected"]),
-                                 int(c["twist_class"]))
+        data = qform.loads_record(text, {"omega": int, "lk": int},
+                                  {"components": list})
+        comps = tuple(Component5(c["preimage_connected"], c["twist_class"])
                       for c in qform.json_records(
                           data.get("components", []),
-                          ("preimage_connected", "twist_class")))
-        return ImmersionState5(int(data["omega"]), int(data["lk"]), comps)
+                          {"preimage_connected": bool, "twist_class": int}))
+        return ImmersionState5(data["omega"], data["lk"], comps)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -130,24 +130,27 @@ SQRT2 = CyclotomicEight((0, 1, 0, -1))  # zeta - zeta**3 = sqrt(2)
 # JSON records, shared by the from_json readers of the package
 
 
-def json_record(data, required: Sequence[str],
-                optional: Sequence[str] = ()) -> dict:
-    """data, checked to be a JSON object with every required key and no
-    key beyond those and the optional ones; ValueError otherwise."""
+def json_record(data, required: dict, optional: dict = {}) -> dict:
+    """data, checked to be a JSON object with every required key, no other
+    key, and each value of the type (or tuple of types) that required or
+    optional maps its key to, where a bool is no int; else ValueError."""
     if not isinstance(data, dict):
         raise ValueError(
             f"expected a JSON object, got {type(data).__name__}")
     for key in required:
         if key not in data:
             raise ValueError(f"missing key {key!r}")
-    for key in data:
-        if key not in required and key not in optional:
+    for key, value in data.items():
+        kind = required.get(key, optional.get(key))
+        if kind is None:
             raise ValueError(f"unknown key {key!r}")
+        if type(value) not in (kind if isinstance(kind, tuple) else (kind,)):
+            raise ValueError(f"key {key!r} has the wrong JSON type: "
+                             f"{json.dumps(value)}")
     return data
 
 
-def json_records(data, required: Sequence[str],
-                 optional: Sequence[str] = ()) -> list:
+def json_records(data, required: dict, optional: dict = {}) -> list:
     """data, checked to be a JSON list of json_record objects."""
     if not isinstance(data, list):
         raise ValueError(
@@ -155,15 +158,14 @@ def json_records(data, required: Sequence[str],
     return [json_record(item, required, optional) for item in data]
 
 
-def loads_record(text: str, required: Sequence[str],
-                 optional: Sequence[str] = ()) -> dict:
-    """JSON text parsed into a json_record, which may also carry a
+def loads_record(text: str, required: dict, optional: dict = {}) -> dict:
+    """JSON text parsed into a json_record, which may also carry an integer
     "schema" key; the only schema read is 1."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
-    json_record(data, required, (*optional, "schema"))
+    json_record(data, required, {**optional, "schema": int})
     if data.get("schema", 1) != 1:
         raise ValueError(f"unsupported schema {data['schema']!r}")
     return data
@@ -244,7 +246,7 @@ class QuadraticSpace:
 
     @staticmethod
     def from_json(text: str) -> "QuadraticSpace":
-        data = loads_record(text, ("dim", "pairing", "q"))
+        data = loads_record(text, {"dim": int, "pairing": list, "q": list})
         space = QuadraticSpace(data["pairing"], data["q"])
         if space.dim != data["dim"]:
             raise ValueError("dim field does not match pairing size")

@@ -94,10 +94,13 @@ class StratumEvent:
 
     @staticmethod
     def from_json(text: str) -> "StratumEvent":
-        data = qform.loads_record(text, ("kind", "sign"),
-                                  ("operand", "detail"))
-        return StratumEvent(data["kind"], int(data["sign"]),
-                            tuple(data.get("operand", ())),
+        data = qform.loads_record(
+            text, {"kind": str, "sign": int},
+            {"operand": list, "detail": (str, type(None))})
+        operand = tuple(data.get("operand", ()))
+        if not all(type(v) is int for v in operand):
+            raise ValueError("key 'operand' must be a JSON array of integers")
+        return StratumEvent(data["kind"], data["sign"], operand,
                             data.get("detail"))
 
 

@@ -102,16 +102,17 @@ class SurfaceDescriptor:
 
     @staticmethod
     def from_json(text: str) -> "SurfaceDescriptor":
-        data = qform.loads_record(text, ("components",),
-                                  ("strata", "quad_data"))
-        comps = tuple(SurfaceComponent(bool(c["orientable"]),
-                                       int(c["genus_or_crosscaps"]))
+        data = qform.loads_record(
+            text, {"components": list},
+            {"strata": dict, "quad_data": (dict, type(None))})
+        comps = tuple(SurfaceComponent(c["orientable"],
+                                       c["genus_or_crosscaps"])
                       for c in qform.json_records(
                           data["components"],
-                          ("orientable", "genus_or_crosscaps")))
+                          {"orientable": bool, "genus_or_crosscaps": int}))
         strata = StrataCounts(**qform.json_record(
-            data.get("strata", {}), (),
-            [f.name for f in dataclasses.fields(StrataCounts)]))
+            data.get("strata", {}), {},
+            {f.name: int for f in dataclasses.fields(StrataCounts)}))
         quad = None
         if data.get("quad_data") is not None:
             quad = qform.QuadraticSpace.from_json(json.dumps(data["quad_data"]))

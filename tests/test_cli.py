@@ -89,6 +89,16 @@ def test_surface_info_rejects_unknown_strata_key(capsys, tmp_path):
     assert "quintuple_points" in err
 
 
+def test_surface_info_rejects_a_string_count(capsys, tmp_path):
+    data = json.loads(rp3_fixture().surface.to_json())
+    data["strata"]["quadruple_points"] = "2"
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "surface", "info", "--surface", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("genimm: ") and "quadruple_points" in err
+
+
 # ---------------------------------------------------------------------------
 # family / numtopo
 
@@ -203,6 +213,19 @@ def test_invariants_state_rejects_component_without_twist_class(capsys,
     code, _, err = run(capsys, "invariants", "state", "--state", str(path))
     assert code == 2
     assert "twist_class" in err
+
+
+@pytest.mark.parametrize("key,value", [("twist_class", None),
+                                       ("preimage_connected", "false")])
+def test_invariants_state_rejects_wrong_value_types(capsys, tmp_path, key,
+                                                    value):
+    data = json.loads(ImmersionState5(1, 2, (Component5(True, 1),)).to_json())
+    data["components"][0][key] = value
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "invariants", "state", "--state", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("genimm: ") and key in err
 
 
 # ---------------------------------------------------------------------------

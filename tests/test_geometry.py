@@ -156,7 +156,7 @@ def test_blended_kink_single_double_point():
 def test_profile_flat_then_round():
     p = KinkParams()
     h = p.cap_height
-    assert np.allclose(profile_height([0.0, 0.1, 2 * p.a], p), h)
+    assert np.array_equal(profile_height([0.0, 0.1, 2 * p.a], p), [h, h, h])
     s = np.array([4 * p.a, 0.9, 1.0])
     assert np.allclose(profile_height(s, p), np.sqrt(1 - s**2))
     dense = np.linspace(0, 0.999, 2000)
@@ -273,6 +273,85 @@ def test_torus_eval_matches_ambient_eval():
     phi = RNG.uniform(0, 2 * np.pi, 30)
     pts = fam.torus_coords_point(theta, r, phi)
     assert np.allclose(fam.torus_eval(theta, r, phi), fam.ambient_eval(pts))
+
+
+# ---------------------------------------------------------------------------
+# batches: every row gets the values it gets alone
+
+
+def _ring(lo, hi, n, dim):
+    """n points with planar radius in [lo, hi); the rest of dim is random."""
+    ang = RNG.uniform(0, 2 * np.pi, n)
+    rad = RNG.uniform(lo, hi, n)
+    pts = RNG.normal(size=(n, dim))
+    pts[:, 0], pts[:, 1] = rad * np.cos(ang), rad * np.sin(ang)
+    return pts
+
+
+def _assert_rows_independent(fn, classes):
+    """fn on the shuffled union of the classes, on each class alone and on
+    each row alone give equal rows."""
+    mixed = np.concatenate(classes)
+    order = RNG.permutation(len(mixed))
+    whole = np.empty_like(fn(mixed))
+    whole[order] = fn(mixed[order])
+    start = 0
+    for cls in classes:
+        own = fn(cls)
+        assert np.array_equal(whole[start:start + len(cls)], own)
+        for row, val in zip(cls, own):
+            assert np.array_equal(fn(row[None])[0], val)
+        start += len(cls)
+
+
+@pytest.mark.parametrize("m", ["1/2", "-3/2", "2"])
+def test_family_rows_are_batch_independent(m):
+    fam = FamilyMap(m)
+    p, c = fam.params, fam.params.kink_scale
+    classes = [_ring(0, c * p.r1, 12, 4),          # kink core
+               _ring(c * p.r1, p.a, 12, 4),        # blend annulus
+               _ring(p.a, 2 * p.a, 12, 4),         # flat cap, fixed
+               _ring(2 * p.a, 1.0, 12, 4)]         # profile blend and round
+    _assert_rows_independent(fam.ambient_eval, classes)
+    _assert_rows_independent(lambda x: domain_constraint(x, p), classes)
+
+
+def test_blended_kink_rows_are_batch_independent():
+    p = KinkParams()
+    classes = [_ring(0, p.r1, 15, 2), _ring(p.r1, p.r2, 15, 2),
+               _ring(p.r2, 2 * p.r2, 15, 2)]
+    _assert_rows_independent(
+        lambda pts: blended_kink(pts[:, 0], pts[:, 1]), classes)
+
+
+def _bump_step(t):
+    """The general smooth step, written out: f(t) / (f(t) + f(1 - t)) with
+    f(s) = exp(-1/s) for s > 0 and 0 otherwise."""
+    def f(s):
+        return np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0)), 0.0)
+    return f(t) / (f(t) + f(1.0 - t))
+
+
+@pytest.mark.parametrize("t", [
+    [-3.0, -1e-300, 0.0, -0.0],             # all <= 0
+    [1.0, 1.0 + 1e-15, 2.5, 1e300],         # all >= 1
+    [-1.0, 0.0, 1e-3, 0.5, 0.999, 1.0, 4.0],  # mixed
+])
+def test_smooth_step_equals_the_bump_formula(t):
+    t = np.array(t)
+    assert np.array_equal(smooth_step(t), _bump_step(t))
+    assert np.array_equal(smooth_step(t[:1]), _bump_step(t[:1]))
+
+
+def test_ambient_eval_of_a_point_equals_its_one_row_batch():
+    fam = FamilyMap("3/2")
+    p, c = fam.params, fam.params.kink_scale
+    for x in np.concatenate([_ring(0, c * p.r1, 5, 4),
+                             _ring(c * p.r1, p.a, 5, 4),
+                             _ring(p.a, 1.0, 5, 4)]):
+        single = fam.ambient_eval(x)
+        assert single.shape == (5,)
+        assert np.array_equal(single, fam.ambient_eval(x[None])[0])
 
 
 # ---------------------------------------------------------------------------

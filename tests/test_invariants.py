@@ -86,6 +86,13 @@ def test_state_json_rejects_malformed_input():
     lambda d: d["components"][0].pop("twist_class"),
     lambda d: d["components"][0].update(sheets=2),
     lambda d: d.update(extra=1),
+    lambda d: d["components"][0].update(twist_class=None),
+    lambda d: d["components"][0].update(twist_class=1.0),
+    lambda d: d["components"][0].update(preimage_connected="false"),
+    lambda d: d["components"][0].update(preimage_connected=1),
+    lambda d: d.update(omega=True),
+    lambda d: d.update(lk="-2"),
+    lambda d: d.update(schema=True),
 ])
 def test_state_json_rejects_malformed_records(change):
     data = json.loads(F_HALF.to_json())

@@ -56,6 +56,23 @@ def test_event_json_round_trip():
         StratumEvent.from_json(json.dumps({"kind": TRIPLE5}))
 
 
+@pytest.mark.parametrize("change", [
+    lambda d: d.update(sign="-1"),
+    lambda d: d.update(sign=True),
+    lambda d: d.update(kind=["merge"]),
+    lambda d: d.update(operand="20"),
+    lambda d: d.update(operand=[2, "0"]),
+    lambda d: d.update(operand=[2, False]),
+    lambda d: d.update(detail=1),
+])
+def test_event_json_rejects_wrong_value_types(change):
+    data = json.loads(
+        StratumEvent(HYPERBOLIC_TANGENCY, -1, (2, 0), "merge").to_json())
+    change(data)
+    with pytest.raises(ValueError):
+        StratumEvent.from_json(json.dumps(data))
+
+
 # ---------------------------------------------------------------------------
 # wall crossings in 5-space
 

@@ -184,6 +184,11 @@ def test_json_round_trip():
     lambda d: d["strata"].update(quintuple_points=0),
     lambda d: d.update(quad_data=3),
     lambda d: d.update(extra=1),
+    lambda d: d["strata"].update(quadruple_points="2"),
+    lambda d: d["strata"].update(triple_arcs=None),
+    lambda d: d["strata"].update(triple_circles=False),
+    lambda d: d["components"][0].update(orientable="false"),
+    lambda d: d["components"][0].update(genus_or_crosscaps=1.5),
 ])
 def test_json_rejects_malformed_records(change):
     data = json.loads(rp3_fixture().surface.to_json())
