@@ -120,13 +120,8 @@ def whitney_kink_jacobian(x, y):
 
 
 def smooth_step(t):
-    """C-infinity step: identically 0 for t <= 0, identically 1 for t >= 1,
-    values returned without the bump for arrays wholly on one side."""
+    """C-infinity step: identically 0 for t <= 0, identically 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
-    if (t <= 0).all():
-        return np.zeros_like(t)
-    if (t >= 1).all():
-        return np.ones_like(t)
     def bump(s):
         out = np.zeros_like(s)
         pos = s > 0
@@ -143,7 +138,9 @@ def blended_kink(x, y, config: Config = DEFAULT):
     Equals the kink for radius <= r1 and the inclusion (x, y, 0, 0) for
     radius >= r2, with a C-infinity radial blend in between, preserving the
     symmetry L o g o R = g under the simultaneous half-turns.  With no point
-    of radius > r1 the blend weight is exactly 0: the kink alone is returned.
+    of radius > r1 the blend weight is exactly 0 and the kink alone is
+    returned: equal values, though a zero may keep a sign that the general
+    path's "+ 0 * flat" would turn.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -277,7 +274,8 @@ class FamilyMap:
         |(x1, x2)| >= a are fixed (the family equals the swept embedding
         there); inside, the spun kink formula applies.  The formula extends
         smoothly off M, which the constrained solvers rely on.  Batches
-        wholly inside or outside skip a mixed batch's gather and scatter.
+        wholly inside or outside skip a mixed batch's gather and scatter
+        and get the same values.
         """
         x = np.asarray(x, dtype=float)
         inside = np.hypot(x[..., 0], x[..., 1]) < self.params.a

@@ -585,12 +585,8 @@ def _trace_closed_curve(start, residual, jacobian, tol, tangent, step,
     when the walk returns to start modulo one of the shift vectors, which
     list the period lattice (just the zero vector for a curve in R^n).
     """
-    shifts = np.asarray(shifts)
     def gap(x):
-        # one batched sum of squares picks the nearest copy; its norm is
-        # then taken alone, as a per-shift loop takes it, to keep every bit
-        d = x - start - shifts
-        return np.linalg.norm(d[np.argmin(np.einsum("ij,ij->i", d, d))])
+        return min(np.linalg.norm(x - start - s) for s in shifts)
 
     x = start
     pts = [x]

@@ -247,6 +247,10 @@ class QuadraticSpace:
     @staticmethod
     def from_json(text: str) -> "QuadraticSpace":
         data = loads_record(text, {"dim": int, "pairing": list, "q": list})
+        rows = data["pairing"]
+        if any(type(row) is not list for row in rows) or any(
+                type(v) is not int for v in [*data["q"], *sum(rows, [])]):
+            raise ValueError("pairing and q entries must be JSON integers")
         space = QuadraticSpace(data["pairing"], data["q"])
         if space.dim != data["dim"]:
             raise ValueError("dim field does not match pairing size")

@@ -359,3 +359,16 @@ def test_json_rejects_garbage():
     with pytest.raises(ValueError):
         QuadraticSpace.from_json(
             '{"dim": 2, "pairing": [[1]], "q": [1]}')
+
+
+@pytest.mark.parametrize("record", [
+    '{"dim": 1, "pairing": [["1"]], "q": [1]}',
+    '{"dim": 1, "pairing": [[true]], "q": [1]}',
+    '{"dim": 1, "pairing": [[1.0]], "q": [1]}',
+    '{"dim": 1, "pairing": [[1]], "q": [1.5]}',
+    '{"dim": 1, "pairing": [[1]], "q": ["1"]}',
+    '{"dim": 1, "pairing": [1], "q": [1]}',
+])
+def test_json_rejects_entries_that_are_not_integers(record):
+    with pytest.raises(ValueError, match="JSON integers"):
+        QuadraticSpace.from_json(record)

@@ -189,6 +189,8 @@ def test_json_round_trip():
     lambda d: d["strata"].update(triple_circles=False),
     lambda d: d["components"][0].update(orientable="false"),
     lambda d: d["components"][0].update(genus_or_crosscaps=1.5),
+    lambda d: d["quad_data"]["q"].__setitem__(0, str(d["quad_data"]["q"][0])),
+    lambda d: d["quad_data"]["pairing"][0].__setitem__(0, True),
 ])
 def test_json_rejects_malformed_records(change):
     data = json.loads(rp3_fixture().surface.to_json())
