@@ -146,7 +146,7 @@ def _cmd_numtopo(args, config: Config) -> int:
               f"closed form {expected}")
         return 0 if deg.value == expected else 1
     if args.action == "hopf":
-        v = invariants.second_column_hopf(m, config)
+        v = invariants.second_column_hopf(config)
         _emit(args, {"m": str(m), "hopf": v, "expected": -1},
               f"hopf invariant = {v}; closed form -1")
         return 0 if v == -1 else 1
@@ -157,12 +157,16 @@ def _cmd_numtopo(args, config: Config) -> int:
         _emit(args, {"m": str(m), "lk": value, "expected": expected},
               f"lk = {value}; closed form {expected}")
         return 0 if value == expected else 1
-    data = _parse_json(args.curve, json.loads)
-    if "points" not in data:
-        raise _CliError(2, f"{args.curve}: missing key 'points'")
-    curve = np.asarray(data["points"], dtype=float)
-    if curve.ndim != 2 or curve.shape[1] != 5:
-        raise _CliError(2, f"{args.curve}: points must be an n x 5 array")
+    points = _parse_json(args.curve, lambda text: qform.loads_record(
+        text, {"points": list}))["points"]
+    if len(points) < 3 or any(
+            type(row) is not list or len(row) != 5
+            or any(type(v) not in (int, float) for v in row) for row in points):
+        raise _CliError(2, f"{args.curve}: points must be an n x 5 array of "
+                           "JSON numbers with n >= 3")
+    curve = np.asarray(points, dtype=float)
+    if not np.isfinite(curve).all():
+        raise _CliError(2, f"{args.curve}: points must be finite")
     fam = FamilyMap(m, config=config)
     value = numtopo.link_1cycle_3manifold(
         curve, fam, config,
@@ -188,11 +192,11 @@ def _state_invariants(state: ImmersionState5) -> dict:
     }
 
 
-def _invariant_row(m: HalfInteger, config: Config, numeric: bool) -> dict:
+def _invariant_row(m, config: Config, numeric: bool, hopf=None) -> dict:
     state = family_state(m, config)
     mode = "closed-form"
     if numeric:
-        omega_num = smale_of_family(m, config).omega
+        omega_num = smale_of_family(m, config, hopf).omega
         lk_num = lk_of_family(m, config)
         if (omega_num, lk_num) != (state.omega, state.lk):
             raise _CliError(1, f"m={m}: numeric (omega, lk) = "
@@ -321,7 +325,8 @@ def _parse_m_range(text: str) -> list[HalfInteger]:
 
 def _cmd_report(args, config: Config) -> int:
     members = _parse_m_range(args.m_range)
-    rows = [_invariant_row(m, config, args.numeric) for m in members]
+    hopf = invariants.second_column_hopf(config) if args.numeric else None
+    rows = [_invariant_row(m, config, args.numeric, hopf) for m in members]
     if args.json:
         text = json.dumps({"schema": 1, "seed": config.seed,
                            "rows": rows}, indent=2) + "\n"

@@ -3,19 +3,18 @@
 Every field here is read by some engine, and a config file naming a key
 that is not a field is rejected.  Some engines still hard-code constants:
 the 0.35/0.2 grid thresholds in ``degree_S3``, the 1e-6 dedupe radius of
-converged solutions, the 400-seed caps of the fiber finders, the
-0.25/0.08/0.025 chain seed radii and the 60,000-point start and
-150,000-point draws of the chain seed search, the 600-seed and
-80-solution caps of ``solve_self_intersection``, the 1e-5 vertex margin
-and the 0.06 tilt from e5 of the curtain directions of
+converged solutions, the 400-seed caps, 48-point grids and 120,000 samples
+of the fiber finders, the 0.25/0.08/0.025 chain seed radii and the
+60,000-point start and 150,000-point draws of the chain seed search, the
+600-seed and 80-solution caps of ``solve_self_intersection``, the 1e-5
+vertex margin and the 0.06 tilt from e5 of the curtain directions of
 ``numtopo.link_1cycle_3manifold``, the 1e-6 vertex and parallel margin of
 the projected crossings of ``numtopo.crossing_link``, the 8e-3 framing
 shift, the 6 step halvings of the batched Newton ``numtopo._newton`` and
 the dim 6 up to which ``qform.brown`` certifies its splitting by the Gauss
-sum.  A config
-can be loaded from a flat ``key = value`` file; the ``GENIMM_CONFIG``
-environment variable overrides the default config path only, never
-individual values.
+sum.  A config can be loaded from a flat ``key = value`` file; the
+``GENIMM_CONFIG`` environment variable overrides the default config path
+only, never individual values.
 """
 
 from __future__ import annotations

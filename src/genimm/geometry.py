@@ -196,6 +196,18 @@ class KinkParams:
         """Radial torus coordinate of the double-point preimages: pi / r2."""
         return np.pi / self.r2
 
+    @staticmethod
+    def from_config(config: Config) -> "KinkParams":
+        return KinkParams(a=config.cap_a, r1=config.kink_r1, r2=config.kink_r2)
+
+    def torus_chart(self, theta, r, phi) -> np.ndarray:
+        """Domain point of M for torus coordinates, shape (..., 4), any m."""
+        theta, r, phi = (np.asarray(v, dtype=float) for v in (theta, r, phi))
+        rad = r * self.a / np.pi
+        h = self.cap_height
+        return np.stack([rad * np.cos(phi), rad * np.sin(phi),
+                         h * np.cos(theta), h * np.sin(theta)], axis=-1)
+
 
 @dataclasses.dataclass(frozen=True)
 class TorusPoint:
@@ -262,8 +274,7 @@ class FamilyMap:
                  config: Config = DEFAULT):
         self.m = HalfInteger.parse(m)
         self.config = config
-        self.params = params if params is not None else KinkParams(
-            a=config.cap_a, r1=config.kink_r1, r2=config.kink_r2)
+        self.params = params or KinkParams.from_config(config)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -304,18 +315,8 @@ class FamilyMap:
         out[..., 4] = c * g[..., 3]
         return out
 
-    def torus_coords_point(self, theta, r, phi) -> np.ndarray:
-        """Domain point of M for torus coordinates, shape (..., 4)."""
-        theta = np.asarray(theta, dtype=float)
-        r = np.asarray(r, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        rad = r * self.params.a / np.pi
-        h = self.params.cap_height
-        return np.stack([rad * np.cos(phi), rad * np.sin(phi),
-                         h * np.cos(theta), h * np.sin(theta)], axis=-1)
-
     def torus_eval(self, theta, r, phi) -> np.ndarray:
-        return self.ambient_eval(self.torus_coords_point(theta, r, phi))
+        return self.ambient_eval(self.params.torus_chart(theta, r, phi))
 
     def exterior_point(self, theta, s, chi) -> np.ndarray:
         """Domain point outside the solid torus: planar radius s >= a."""

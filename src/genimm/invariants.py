@@ -28,8 +28,9 @@ import numpy as np
 
 from . import numtopo, qform, surfaces
 from .config import Config, DEFAULT
-from .geometry import (FamilyMap, HalfInteger, column_m1, column_m1_jacobian,
-                       column_n1, column_n1_jacobian, domain_constraint)
+from .geometry import (FamilyMap, HalfInteger, KinkParams, column_m1,
+                       column_m1_jacobian, column_n1, column_n1_jacobian,
+                       domain_constraint)
 
 RIGHT_TWIST = 1
 LEFT_TWIST = 3
@@ -274,35 +275,34 @@ def first_column_degree(m, config: Config = DEFAULT) -> numtopo.SignedCount:
         jac_fn=lambda theta, r, phi: column_m1_jacobian(mval, theta, r, phi))
 
 
-def second_column_hopf(m, config: Config = DEFAULT) -> int:
-    """Hopf invariant of the second frame column of member m, by fibers.
+def second_column_hopf(config: Config = DEFAULT) -> int:
+    """Hopf invariant v of the second frame column, by fibers.
 
-    The fibers over the poles (0, 0, +-1) are traced in torus coordinates
-    and carried onto the domain by the torus chart.  Closed form: -1.
+    column_n1 and the torus chart take no m, so v is one value for every
+    member.  The fibers over the poles (0, 0, +-1) are traced in torus
+    coordinates and carried onto the domain by the chart.  Closed form: -1.
     """
-    fam = FamilyMap(m, config=config)
-
-    def to_sphere(curve):
-        return fam.torus_coords_point(curve[:, 0], curve[:, 1], curve[:, 2])
-
-    return numtopo.hopf_invariant(column_n1, config, domain="param",
-                                  to_sphere=to_sphere,
-                                  values=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
-                                  jac_fn=column_n1_jacobian)
+    chart = KinkParams.from_config(config).torus_chart
+    return numtopo.hopf_invariant(
+        column_n1, config, domain="param",
+        to_sphere=lambda curve: chart(curve[:, 0], curve[:, 1], curve[:, 2]),
+        values=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), jac_fn=column_n1_jacobian)
 
 
-def smale_of_family(m, config: Config = DEFAULT) -> RegularHomotopyClass:
+def smale_of_family(m, config: Config = DEFAULT,
+                    hopf: int | None = None) -> RegularHomotopyClass:
     """Regular homotopy class of the family member, computed numerically.
 
     u is the degree of the first normalized frame column over the domain
-    sphere and v the Hopf invariant of the second; omega = u + 2v.  Both
-    are checked against the closed forms u = -2m + 2 and v = -1, so a
-    drifted tolerance or geometry regression raises instead of returning
-    a wrong class.
+    sphere and v the Hopf invariant of the second; omega = u + 2v.  v is
+    the same for every member: pass second_column_hopf(config), computed
+    once, as hopf to check several.  Both are checked against the closed
+    forms u = -2m + 2 and v = -1, so a drifted tolerance or geometry
+    regression raises instead of returning a wrong class.
     """
     m = HalfInteger.parse(m)
     u = first_column_degree(m, config).value
-    v = second_column_hopf(m, config)
+    v = second_column_hopf(config) if hopf is None else hopf
     if u != 2 - m.twice or v != -1:
         raise ArithmeticError(
             f"frame-map invariants (u, v) = ({u}, {v}) disagree with the "
@@ -470,7 +470,7 @@ def _family_domain_seeds(fam: FamilyMap) -> np.ndarray:
                     p.double_point_r + 0.3, 12)]))
     phi = np.linspace(0, 2 * np.pi, 48, endpoint=False)
     T, R, P = np.meshgrid(theta, r, phi, indexing="ij")
-    return fam.torus_coords_point(T.ravel(), R.ravel(), P.ravel())
+    return fam.params.torus_chart(T.ravel(), R.ravel(), P.ravel())
 
 
 def _family_pushoff_link(fam: FamilyMap, rot: float, config: Config) -> int:

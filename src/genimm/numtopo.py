@@ -549,6 +549,8 @@ def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCou
 
 # ---------------------------------------------------------------------------
 # the corrector, the curve tracer, fiber tracing and the Hopf invariant
+_FIBER_GRID = 48          # seed grid points per axis of the parameter box
+_FIBER_SAMPLES = 120000   # random seed points on S^3 for ambient fibers
 
 
 def sphere_tangent_basis(v):
@@ -632,7 +634,7 @@ def _trace_fibers(seeds, residual, jacobian, tangent, config: Config,
     return curves
 
 
-def _fibers_param(map_fn, v, config: Config, jac_fn=None, grid=48):
+def _fibers_param(map_fn, v, config: Config, jac_fn=None):
     """All fiber components of map_fn over v in the (theta, r, phi) box."""
     fn, jac = _box_map(map_fn, jac_fn, config)
     W = np.stack(sphere_tangent_basis(v), axis=0)
@@ -653,8 +655,8 @@ def _fibers_param(map_fn, v, config: Config, jac_fn=None, grid=48):
         # no sign fix: det[J; t] = |t|^2 > 0 by the cross product's definition
         return t / norm
 
-    theta = np.linspace(0, 2 * np.pi, grid, endpoint=False)
-    r = (np.arange(grid) + 0.5) * np.pi / grid
+    theta = np.linspace(0, 2 * np.pi, _FIBER_GRID, endpoint=False)
+    r = (np.arange(_FIBER_GRID) + 0.5) * np.pi / _FIBER_GRID
     T, R, P = np.meshgrid(theta, r, theta, indexing="ij")
     vals = map_fn(T, R, P)
     mask = np.linalg.norm(vals - v, axis=-1) < 0.3
@@ -667,7 +669,7 @@ def _fibers_param(map_fn, v, config: Config, jac_fn=None, grid=48):
     return _trace_fibers(seeds, residual, jacobian, tangent, config, shifts)
 
 
-def _fibers_ambient(field, constraint, v, config: Config, samples=120000):
+def _fibers_ambient(field, constraint, v, config: Config):
     """Fiber components of an S^2-valued field on the hypersurface {G = 0}."""
     W = np.stack(sphere_tangent_basis(v), axis=0)
 
@@ -691,7 +693,7 @@ def _fibers_ambient(field, constraint, v, config: Config, samples=120000):
         return t / norm
 
     rng = np.random.default_rng(config.seed)
-    pts = _unit(rng.normal(size=(samples, 4)))
+    pts = _unit(rng.normal(size=(_FIBER_SAMPLES, 4)))
     vals = field(pts)
     seeds = pts[np.linalg.norm(vals - v, axis=-1) < 0.25]
     if len(seeds) > 400:
@@ -701,8 +703,7 @@ def _fibers_ambient(field, constraint, v, config: Config, samples=120000):
 
 
 def hopf_invariant(map_fn, config: Config = DEFAULT, *, domain="param",
-                   constraint=None, to_sphere=None, values=None,
-                   jac_fn=None, return_fibers=False):
+                   constraint=None, to_sphere=None, values=None, jac_fn=None):
     """Hopf invariant of a map to S^2: linking of two regular fibers.
 
     domain="param" expects map_fn(theta, r, phi) on the periodic box and a
@@ -738,8 +739,7 @@ def hopf_invariant(map_fn, config: Config = DEFAULT, *, domain="param",
         raise ValueError("domain must be 'param' or 'ambient'")
 
     if not rays1 or not rays2:
-        result = 0
-        return (result, rays1, rays2) if return_fibers else result
+        return 0
 
     rays1 = [_unit(c) for c in rays1]
     rays2 = [_unit(c) for c in rays2]
@@ -755,8 +755,7 @@ def hopf_invariant(map_fn, config: Config = DEFAULT, *, domain="param",
                     f"linking engines disagree ({lk} vs {cone}); "
                     "fiber curves are under-resolved")
             total += lk
-    total = -total  # frame-map normalization, see docstring
-    return (total, rays1, rays2) if return_fibers else total
+    return -total  # frame-map normalization, see docstring
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +786,7 @@ def _double_point_seeds(family, config: Config):
     r = np.unique(np.concatenate([r_coarse, r_fine]))
     phi = np.linspace(0, 2 * np.pi, 44, endpoint=False)
     T, R, P = np.meshgrid(theta, r, phi, indexing="ij")
-    pts = family.torus_coords_point(T.ravel(), R.ravel(), P.ravel())
+    pts = family.params.torus_chart(T.ravel(), R.ravel(), P.ravel())
     img = family.ambient_eval(pts)
     tree = cKDTree(img)
     # k nearest neighbours instead of query_pairs: the grid is very dense

@@ -89,7 +89,7 @@ def test_hopf_invariant_of_second_column():
         fam = FamilyMap(HalfInteger(twice), config=CFG)
 
         def to_sphere(curve):
-            return fam.torus_coords_point(curve[:, 0], curve[:, 1],
+            return fam.params.torus_chart(curve[:, 0], curve[:, 1],
                                           curve[:, 2])
 
         h = hopf_invariant(column_n1, CFG, domain="param",
@@ -277,7 +277,7 @@ def test_numerics_cross_validation():
     fam1 = FamilyMap(HalfInteger(1), config=CFG)
 
     def to_sphere(curve):
-        return fam1.torus_coords_point(curve[:, 0], curve[:, 1], curve[:, 2])
+        return fam1.params.torus_chart(curve[:, 0], curve[:, 1], curve[:, 2])
 
     for values in (((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
                    ((0.2, 0.5, np.sqrt(0.71)), (-0.3, 0.4, -np.sqrt(0.75)))):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from genimm import cli, qform
+from genimm import cli, numtopo, qform
 from genimm.invariants import ImmersionState5, Component5
 from genimm.surfaces import rp3_fixture
 
@@ -134,13 +134,28 @@ def test_numtopo_hopf(capsys):
     assert json.loads(out)["hopf"] == -1
 
 
-def test_numtopo_link_rejects_bad_curve(capsys, tmp_path):
+_ROW = "[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"schema": 1, "points": [[0, 0], [1, 1]]}', "n x 5"),
+    ("5", "expected a JSON object"),
+    ('{"points": [["a", "b", "c", "d", "e"]]}', "n x 5"),
+    ('{"points": [%s, [0, 1, 0, 0, true]]}' % _ROW, "JSON numbers"),
+    ('{"points": [%s, [0, 1, 0, 0]]}' % _ROW, "n x 5"),
+    ('{"points": [%s, [0, 1, 0, 0, NaN]]}' % _ROW, "finite"),
+    ('{"points": [%s]}' % _ROW, "n >= 3"),
+    ('{"points": [%s, [0, 1, 0, 0, 0]], "closed": true}' % _ROW,
+     "unknown key"),
+], ids=["two-columns", "not-an-object", "strings", "boolean", "ragged", "nan",
+        "two-vertices", "unknown-key"])
+def test_numtopo_link_rejects_bad_curve(capsys, tmp_path, text, message):
     path = tmp_path / "curve.json"
-    path.write_text(json.dumps({"schema": 1, "points": [[0, 0], [1, 1]]}))
+    path.write_text(text)
     code, _, err = run(capsys, "numtopo", "link", "--m", "1/2",
                        "--curve", str(path))
     assert code == 2
-    assert "n x 5" in err
+    assert err.startswith("genimm: ") and message in err
 
 
 def test_numtopo_link_counts_a_meridian(capsys, tmp_path):
@@ -298,6 +313,26 @@ def test_report_is_reproducible(capsys, tmp_path):
     assert run(capsys, "report", "paper-table", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
     assert b"closed-form" in a.read_bytes()
+
+
+def test_numeric_report_traces_the_hopf_fibers_once(capsys, monkeypatch):
+    calls = []
+    hopf_invariant = numtopo.hopf_invariant
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hopf_invariant(*args, **kwargs)
+
+    monkeypatch.setattr(numtopo, "hopf_invariant", counted)
+    argv = ["report", "paper-table", "--m-range", "0..1/2", "--json"]
+    code, out, _ = run(capsys, *argv, "--numeric")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["mode"] for r in rows] == ["both-agree", "both-agree"]
+    closed = json.loads(run(capsys, *argv)[1])["rows"]
+    assert ([{**r, "mode": None} for r in rows]
+            == [{**r, "mode": None} for r in closed])
+    assert len(calls) == 1
 
 
 def test_report_rejects_bad_range(capsys):

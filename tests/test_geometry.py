@@ -271,7 +271,7 @@ def test_torus_eval_matches_ambient_eval():
     theta = RNG.uniform(0, 2 * np.pi, 30)
     r = RNG.uniform(0, np.pi, 30)
     phi = RNG.uniform(0, 2 * np.pi, 30)
-    pts = fam.torus_coords_point(theta, r, phi)
+    pts = fam.params.torus_chart(theta, r, phi)
     assert np.allclose(fam.torus_eval(theta, r, phi), fam.ambient_eval(pts))
 
 

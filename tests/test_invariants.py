@@ -15,7 +15,8 @@ from genimm.invariants import (Component5, EmbeddingTest, ImmersionState5,
                                connected_sum5, embedding_test, family_state,
                                lambda_, lk_of_family, reverse_orientation,
                                smale_of_family, tau)
-from genimm.invariants import _framing_curves, _framing_null_homologous
+from genimm.invariants import (_framing_curves, _framing_null_homologous,
+                               second_column_hopf)
 from genimm.geometry import FamilyMap
 from genimm.numtopo import (_unit, choose_pole, gauss_link, projected_link,
                             stereographic)
@@ -264,9 +265,15 @@ def test_beta_mod4_check_needs_quadratic_data():
 
 
 def test_smale_invariant_of_family_members():
-    assert smale_of_family("-1/2").omega == 1
-    assert smale_of_family(0).omega == 0
-    assert smale_of_family("3/2").omega == -3
+    # v is one value for every member: computed once, then passed in
+    v = second_column_hopf()
+    assert v == -1
+    assert smale_of_family("-1/2", hopf=v).omega == 1
+    assert smale_of_family(0, hopf=v).omega == 0
+    assert smale_of_family("3/2", hopf=v).omega == -3
+    # a passed-in v is still checked against its closed form
+    with pytest.raises(ArithmeticError, match=r"\(u, v\) = \(2, 1\)"):
+        smale_of_family(0, hopf=1)
 
 
 def test_self_intersection_framing_admissibility():

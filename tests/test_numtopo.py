@@ -389,7 +389,7 @@ class TestHopf:
         fam = FamilyMap(HalfInteger(1))
 
         def to_sphere(curve):
-            return fam.torus_coords_point(curve[:, 0], curve[:, 1],
+            return fam.params.torus_chart(curve[:, 0], curve[:, 1],
                                           curve[:, 2])
 
         def n1(theta, r, phi):
@@ -410,7 +410,7 @@ class TestHopf:
         fam = FamilyMap(HalfInteger(1))
 
         def to_sphere(curve):
-            return fam.torus_coords_point(curve[:, 0], curve[:, 1],
+            return fam.params.torus_chart(curve[:, 0], curve[:, 1],
                                           curve[:, 2])
 
         h = hopf_invariant(northish, CFG, domain="param", to_sphere=to_sphere,
@@ -418,12 +418,16 @@ class TestHopf:
         assert h == 0
 
     def test_returned_fibers_are_closed_unit_rays(self):
-        h, f1, f2 = hopf_invariant(
-            classical_hopf, CFG, domain="ambient",
-            constraint=lambda x: (x * x).sum(axis=-1) - 1.0,
-            values=((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)), return_fibers=True)
-        assert h == 1
-        for fib in f1 + f2:
+        # the fibers hopf_invariant links, normalized as it normalizes them
+        def sphere(x):
+            return (x * x).sum(axis=-1) - 1.0
+
+        fibers = [numtopo._unit(c)
+                  for v in ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
+                  for c in numtopo._fibers_ambient(classical_hopf, sphere,
+                                                   np.array(v), CFG)]
+        assert len(fibers) == 2
+        for fib in fibers:
             assert np.allclose(np.linalg.norm(fib, axis=1), 1.0, atol=1e-8)
             assert np.linalg.norm(fib[0] - fib[-1]) < 0.1
 
