@@ -10,11 +10,13 @@ of the fiber finders, the 0.25/0.08/0.025 chain seed radii and the
 vertex margin and the 0.06 tilt from e5 of the curtain directions of
 ``numtopo.link_1cycle_3manifold``, the 1e-6 vertex and parallel margin of
 the projected crossings of ``numtopo.crossing_link``, the 8e-3 framing
-shift, the 6 step halvings of the batched Newton ``numtopo._newton`` and
-the dim 6 up to which ``qform.brown`` certifies its splitting by the Gauss
-sum.  A config can be loaded from a flat ``key = value`` file; the
-``GENIMM_CONFIG`` environment variable overrides the default config path
-only, never individual values.
+shift, the 6 step halvings of the batched Newton ``numtopo._newton``, the
+dim 6 up to which ``qform.brown`` certifies its splitting by the Gauss sum
+and the 1e-12 bound on |det[rows; complement]| below which
+``numtopo.oriented_complement`` calls its rows rank deficient.  A config
+can be loaded from a flat ``key = value`` file; the ``GENIMM_CONFIG``
+environment variable overrides the default config path only, never
+individual values.
 """
 
 from __future__ import annotations

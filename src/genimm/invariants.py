@@ -451,8 +451,7 @@ def _induced_circle_sign(fam: FamilyMap, sheet_points, theta,
             if np.linalg.norm(frame @ kappa - qdot) > 1e-5:
                 raise ArithmeticError("double-circle tangent is not tangent "
                                       "to a sheet; geometry inconsistency")
-            k2, k3 = numtopo.sphere_tangent_basis(kappa)
-            cols.extend([frame @ k2, frame @ k3])
+            cols.extend((frame @ numtopo.oriented_complement(kappa)).T)
         signs.add(1 if np.linalg.det(np.column_stack(cols)) > 0 else -1)
     if len(signs) != 1:
         raise ArithmeticError("induced orientation probes disagree along "

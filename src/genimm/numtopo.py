@@ -24,8 +24,16 @@ helper, geometry.fd_jacobian.  Every equation, square or wide, is solved by
 the one batched damped Gauss-Newton, _newton: degree preimages, curtain
 crossings, fiber and double-curve seeds, and the corrector of the one
 predictor-corrector tracer, _trace_closed_curve, which follows closed level
-curves (Hopf fibers and double-point curves).  Converged solutions are
-deduplicated by _dedupe within _DEDUPE_RADIUS.
+curves (Hopf fibers and double-point curves) from a residual and its
+Jacobian alone.  Converged solutions are deduplicated by _dedupe within
+_DEDUPE_RADIUS.
+
+Every sign rests on one orientation rule: the normal or the Jacobian rows
+first, then the tangent or frame, make a positive basis.  The one helper
+oriented_complement completes rows that way, and every frame and tangent
+here comes from it: the frames normal to a value or projection direction,
+the positive tangent basis of the domain, the stereographic basis (the
+complement of minus the pole) and the tracer's unit tangent.
 """
 
 from __future__ import annotations
@@ -72,6 +80,27 @@ def _drop_duplicate_endpoint(curve):
     if np.linalg.norm(curve[0] - curve[-1]) < 1e-12:
         curve = curve[:-1]
     return curve
+
+
+def oriented_complement(rows):
+    """Orthonormal columns C spanning the complement of the rows, with
+    det[rows; C^T] > 0.
+
+    rows is one vector or a k x n matrix.  For a normal vector C is a
+    positive frame of the tangent space; for the Jacobian of a curve
+    {F = 0} its one column is the oriented unit tangent.  Raises
+    NonRegularValueError when |det[rows; C^T]| < 1e-12, that is when the
+    rows are (nearly) rank deficient.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    comp = np.linalg.qr(rows.T, mode="complete")[0][:, len(rows):]
+    det = np.linalg.det(np.concatenate([rows, comp.T]))
+    if abs(det) < 1e-12:
+        raise NonRegularValueError("rows are rank deficient; the point or "
+                                   "value is not regular")
+    if det < 0:
+        comp[:, 0] = -comp[:, 0]
+    return comp
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +175,7 @@ def _projected_crossings(a, b, d, config: Config):
     _CROSSING_MARGIN of a segment end, near parallel, has an over/under gap
     below config.min_image_separation, or the two sums differ.
     """
-    w1, w2 = sphere_tangent_basis(d)
-    frame = np.column_stack([w1, w2])
+    frame = oriented_complement(d)
     a_next = np.roll(a, -1, axis=0)
     b_next = np.roll(b, -1, axis=0)
     pa, pb = a @ frame, b @ frame
@@ -241,21 +269,7 @@ def stereographic_basis(pole):
     Projection from the pole then carries the outward-normal-first
     orientation of the unit 3-sphere to the standard orientation of R^3.
     """
-    p = _unit(np.asarray(pole, dtype=float))
-    cols = [p]
-    for k in np.argsort(np.abs(p)):
-        cand = np.eye(4)[k]
-        for c in cols:
-            cand = cand - (cand @ c) * c
-        n = np.linalg.norm(cand)
-        if n > 1e-9:
-            cols.append(cand / n)
-        if len(cols) == 4:
-            break
-    basis = np.stack(cols[1:], axis=1)
-    if np.linalg.det(np.column_stack([p, basis])) > 0:
-        basis = basis[:, [1, 0, 2]]
-    return basis
+    return oriented_complement(-np.asarray(pole, dtype=float))
 
 
 def stereographic(points, pole):
@@ -553,39 +567,24 @@ _FIBER_GRID = 48          # seed grid points per axis of the parameter box
 _FIBER_SAMPLES = 120000   # random seed points on S^3 for ambient fibers
 
 
-def sphere_tangent_basis(v):
-    """Orthonormal (w1, w2) spanning the plane normal to v in R^3.
-
-    Right handed: det[v, w1, w2] = +1, so (w1, w2) is positive for the
-    outward-normal-first orientation of S^2 at v/|v|.
-    """
-    v = _unit(np.asarray(v, dtype=float))
-    seed = np.eye(3)[np.argmin(np.abs(v))]
-    w1 = _unit(seed - (seed @ v) * v)
-    w2 = np.cross(v, w1)
-    return w1, w2
-
-
 def positive_tangent_basis(constraint, x, config: Config) -> np.ndarray:
     """Columns: basis of the tangent space of {constraint = 0} at x that the
     outward normal, put first, completes to a positive basis of R^4."""
-    nhat = _unit(fd_jacobian(constraint, x, config.fd_step))
-    basis = np.linalg.svd(nhat[None])[2][1:].T
-    if np.linalg.det(np.column_stack([nhat, basis])) < 0:
-        basis = basis[:, [1, 0, 2]]
-    return basis
+    return oriented_complement(fd_jacobian(constraint, x, config.fd_step))
 
 
-def _trace_closed_curve(start, residual, jacobian, tol, tangent, step,
-                        config: Config, shifts):
+def _trace_closed_curve(start, residual, jacobian, tol, step, config: Config,
+                        shifts):
     """Predictor-corrector tracing of a closed regular curve through start.
 
     The curve is {F = 0} for the residual and jacobian of _newton, which
-    corrects each predicted point to tol as a batch of one; tangent(x) is
-    the oriented unit tangent.  A failed correction halves the predictor
-    step down to a tenth of config.trace_closure_tol.  The curve has closed
-    when the walk returns to start modulo one of the shift vectors, which
-    list the period lattice (just the zero vector for a curve in R^n).
+    corrects each predicted point to tol as a batch of one.  The predictor
+    follows the oriented unit tangent t, the oriented_complement of the
+    Jacobian, so det[J; t] > 0 all along the curve.  A failed correction
+    halves the predictor step down to a tenth of config.trace_closure_tol.
+    The curve has closed when the walk returns to start modulo one of the
+    shift vectors, which list the period lattice (just the zero vector for
+    a curve in R^n).
     """
     def gap(x):
         return min(np.linalg.norm(x - start - s) for s in shifts)
@@ -593,7 +592,7 @@ def _trace_closed_curve(start, residual, jacobian, tol, tangent, step,
     x = start
     pts = [x]
     for n in range(config.trace_max_steps):
-        t = tangent(x)
+        t = oriented_complement(jacobian(x[None], None)[0])[:, 0]
         h = step
         if n > 5:
             g = gap(x)
@@ -615,8 +614,7 @@ def _trace_closed_curve(start, residual, jacobian, tol, tangent, step,
     raise ArithmeticError("curve failed to close while tracing")
 
 
-def _trace_fibers(seeds, residual, jacobian, tangent, config: Config,
-                  shifts):
+def _trace_fibers(seeds, residual, jacobian, config: Config, shifts):
     """Every closed level curve reached from the seeds, each traced once.
 
     The seeds are refined in one _newton batch before any tracing."""
@@ -627,7 +625,7 @@ def _trace_fibers(seeds, residual, jacobian, tangent, config: Config,
     for x in refined[ok]:
         if any(tree.query(x)[0] < 3 * config.trace_step for tree in trees):
             continue
-        curve = _trace_closed_curve(x, residual, jacobian, tol, tangent,
+        curve = _trace_closed_curve(x, residual, jacobian, tol,
                                     config.trace_step, config, shifts)
         curves.append(curve)
         trees.append(cKDTree(np.concatenate([curve + s for s in shifts])))
@@ -637,23 +635,13 @@ def _trace_fibers(seeds, residual, jacobian, tangent, config: Config,
 def _fibers_param(map_fn, v, config: Config, jac_fn=None):
     """All fiber components of map_fn over v in the (theta, r, phi) box."""
     fn, jac = _box_map(map_fn, jac_fn, config)
-    W = np.stack(sphere_tangent_basis(v), axis=0)
+    W = oriented_complement(v)
 
     def residual(x, _rows):
-        return (fn(x) - v) @ W.T
+        return (fn(x) - v) @ W
 
     def jacobian(x, _rows):
-        return W @ jac(x)
-
-    def tangent(x):
-        J = jacobian(x[None], None)[0]
-        t = np.cross(J[0], J[1])
-        norm = np.linalg.norm(t)
-        if norm < 1e-12:
-            raise NonRegularValueError("fiber tangent degenerated; the "
-                                       "value is not regular")
-        # no sign fix: det[J; t] = |t|^2 > 0 by the cross product's definition
-        return t / norm
+        return W.T @ jac(x)
 
     theta = np.linspace(0, 2 * np.pi, _FIBER_GRID, endpoint=False)
     r = (np.arange(_FIBER_GRID) + 0.5) * np.pi / _FIBER_GRID
@@ -666,15 +654,15 @@ def _fibers_param(map_fn, v, config: Config, jac_fn=None):
         seeds = seeds[rng.choice(len(seeds), 400, replace=False)]
     shifts = [np.array([2 * np.pi * i, 0.0, 2 * np.pi * j])
               for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    return _trace_fibers(seeds, residual, jacobian, tangent, config, shifts)
+    return _trace_fibers(seeds, residual, jacobian, config, shifts)
 
 
 def _fibers_ambient(field, constraint, v, config: Config):
     """Fiber components of an S^2-valued field on the hypersurface {G = 0}."""
-    W = np.stack(sphere_tangent_basis(v), axis=0)
+    W = oriented_complement(v)
 
     def level(x):
-        return np.concatenate([(field(x) - v) @ W.T, constraint(x)[..., None]],
+        return np.concatenate([(field(x) - v) @ W, constraint(x)[..., None]],
                               axis=-1)
 
     def residual(x, _rows):
@@ -683,23 +671,13 @@ def _fibers_ambient(field, constraint, v, config: Config):
     def jacobian(x, _rows):
         return fd_jacobian(level, x, config.fd_step)
 
-    def tangent(x):
-        J = jacobian(x[None], None)[0]
-        t = _cross4(J[0], J[1], J[2])
-        norm = np.linalg.norm(t)
-        if norm < 1e-12:
-            raise NonRegularValueError("fiber tangent degenerated")
-        # no sign fix: det[J; t] = |t|^2 > 0 by the definition of _cross4
-        return t / norm
-
     rng = np.random.default_rng(config.seed)
     pts = _unit(rng.normal(size=(_FIBER_SAMPLES, 4)))
     vals = field(pts)
     seeds = pts[np.linalg.norm(vals - v, axis=-1) < 0.25]
     if len(seeds) > 400:
         seeds = seeds[rng.choice(len(seeds), 400, replace=False)]
-    return _trace_fibers(seeds, residual, jacobian, tangent, config,
-                         [np.zeros(4)])
+    return _trace_fibers(seeds, residual, jacobian, config, [np.zeros(4)])
 
 
 def hopf_invariant(map_fn, config: Config = DEFAULT, *, domain="param",
@@ -854,17 +832,8 @@ def solve_self_intersection(family, config: Config = DEFAULT):
         if consumed[idx]:
             continue
         z0 = solved[idx]
-        prev = [None]
-
-        def tangent(z):
-            t = np.linalg.svd(jacobian(z[None], None)[0])[2][-1]
-            if prev[0] is not None and t @ prev[0] < 0:
-                t = -t
-            prev[0] = t
-            return t
-
         track = _trace_closed_curve(z0, residual, jacobian, config.newton_tol,
-                                    tangent, step, config, [np.zeros(8)])
+                                    step, config, [np.zeros(8)])
         # the track passes the swapped start exactly when the two branches
         # over the double curve join into one preimage circle
         merged = bool(np.any(np.linalg.norm(track[1:] - z0[swap], axis=1)

@@ -18,10 +18,11 @@ The Gauss sum
 
     sum_{x in V} i**q(x) = sqrt(2)**dim * zeta**brown,   zeta = exp(i pi / 4),
 
-is computed by enumerating all 2**dim vectors; it is kept as an independent
-certificate of the splitting on small spaces, and the enumeration serves
-``qform table``.  Everything here is
-exact integer arithmetic; no floats.
+lies in the Gaussian integers Z[i], since each term i**q(x) does, and is
+computed as the pair (re, im) by enumerating all 2**dim vectors; it is kept
+as an independent certificate of the splitting on small spaces, and the
+enumeration serves ``qform table``.  Everything here is exact integer
+arithmetic; no floats.
 """
 
 from __future__ import annotations
@@ -37,93 +38,6 @@ from .config import Config, DEFAULT
 
 class DimensionCapError(ValueError):
     """A space is too large for an enumeration cap of the config."""
-
-
-# ---------------------------------------------------------------------------
-# exact arithmetic in Z[zeta], zeta**4 = -1
-
-
-@dataclasses.dataclass(frozen=True)
-class CyclotomicEight:
-    """Element a0 + a1 zeta + a2 zeta**2 + a3 zeta**3 with integer ai."""
-
-    coeffs: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.coeffs) != 4:
-            raise ValueError("need exactly 4 coefficients")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
-    @staticmethod
-    def one() -> "CyclotomicEight":
-        return CyclotomicEight((1, 0, 0, 0))
-
-    @staticmethod
-    def from_int(n: int) -> "CyclotomicEight":
-        return CyclotomicEight((n, 0, 0, 0))
-
-    @staticmethod
-    def zeta_power(k: int) -> "CyclotomicEight":
-        """zeta**k, reduced by zeta**4 = -1."""
-        k = k % 8
-        sign = 1 if k < 4 else -1
-        c = [0, 0, 0, 0]
-        c[k % 4] = sign
-        return CyclotomicEight(tuple(c))
-
-    def __add__(self, other: "CyclotomicEight") -> "CyclotomicEight":
-        a, b = self.coeffs, other.coeffs
-        return CyclotomicEight(tuple(a[i] + b[i] for i in range(4)))
-
-    def __sub__(self, other: "CyclotomicEight") -> "CyclotomicEight":
-        a, b = self.coeffs, other.coeffs
-        return CyclotomicEight(tuple(a[i] - b[i] for i in range(4)))
-
-    def __neg__(self) -> "CyclotomicEight":
-        return CyclotomicEight(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "CyclotomicEight") -> "CyclotomicEight":
-        a, b = self.coeffs, other.coeffs
-        out = [0, 0, 0, 0]
-        for i in range(4):
-            if a[i] == 0:
-                continue
-            for j in range(4):
-                if b[j] == 0:
-                    continue
-                k = i + j
-                if k < 4:
-                    out[k] += a[i] * b[j]
-                else:
-                    out[k - 4] -= a[i] * b[j]
-        return CyclotomicEight(tuple(out))
-
-    def __pow__(self, n: int) -> "CyclotomicEight":
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        result = CyclotomicEight.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conjugate(self) -> "CyclotomicEight":
-        """Complex conjugate: zeta -> zeta**-1 = -zeta**3."""
-        a0, a1, a2, a3 = self.coeffs
-        return CyclotomicEight((a0, -a3, -a2, -a1))
-
-    def norm_squared(self) -> "CyclotomicEight":
-        return self * self.conjugate()
-
-    def complex(self) -> complex:
-        z = np.exp(1j * np.pi / 4)
-        return sum(c * z**i for i, c in enumerate(self.coeffs))
-
-
-SQRT2 = CyclotomicEight((0, 1, 0, -1))  # zeta - zeta**3 = sqrt(2)
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +213,12 @@ def q_table(space: QuadraticSpace, config: Config = DEFAULT) -> np.ndarray:
     return out
 
 
-def gauss_sum(space: QuadraticSpace, config: Config = DEFAULT) -> CyclotomicEight:
-    """sum over V of i**q(x), exactly, as an element of Z[zeta]."""
-    counts = np.bincount(q_table(space, config), minlength=4)
-    # i**q = zeta**(2q); zeta**0, zeta**2, zeta**4, zeta**6 = 1, i, -1, -i
-    n0, n1, n2, n3 = (int(c) for c in counts)
-    return CyclotomicEight((n0 - n2, 0, n1 - n3, 0))
+def gauss_sum(space: QuadraticSpace,
+              config: Config = DEFAULT) -> tuple[int, int]:
+    """sum over V of i**q(x), exactly, as the Gaussian integer (re, im)."""
+    n0, n1, n2, n3 = (int(c) for c in
+                      np.bincount(q_table(space, config), minlength=4))
+    return n0 - n2, n1 - n3
 
 
 # Spaces up to this dim (at most 64 vectors) have their Brown invariant
@@ -371,11 +285,10 @@ def brown(space: QuadraticSpace, config: Config = DEFAULT) -> int:
         g = gauss_sum(space, config)
         shift = space.dim // 2
         re, im = _ZETA_UNITS[m]
-        if g.coeffs != (re << shift, 0, im << shift, 0):
+        if g != (re << shift, im << shift):
             raise ValueError(
                 f"Brown invariant {m} by splitting disagrees with the Gauss "
-                f"sum {g.coeffs[0]} + {g.coeffs[2]}i of the dim-{space.dim} "
-                "space")
+                f"sum {g[0]} + {g[1]}i of the dim-{space.dim} space")
     return m
 
 

@@ -19,8 +19,9 @@ import pytest
 
 from genimm import qform, strata
 from genimm.config import Config
-from genimm.geometry import (FamilyMap, HalfInteger, classical_hopf,
-                             column_m1, column_m1_jacobian, column_n1)
+from genimm.geometry import (FamilyMap, HalfInteger, KinkParams,
+                             classical_hopf, column_m1, column_m1_jacobian,
+                             column_n1)
 from genimm.invariants import (Component5, ImmersionState5, J, L, St,
                                _framing_null_homologous, connected_sum5,
                                embedding_test, family_state, lambda_,
@@ -84,17 +85,18 @@ def test_degree_golden_values():
 
 
 def test_hopf_invariant_of_second_column():
-    # the second frame column has Hopf invariant -1 for every member
+    # the second frame column has Hopf invariant -1 for every member: it
+    # and the torus chart depend on the config alone, which every member
+    # shares, so one trace serves them all
+    params = KinkParams.from_config(CFG)
     for twice in (-2, 1, 4):
-        fam = FamilyMap(HalfInteger(twice), config=CFG)
+        assert FamilyMap(HalfInteger(twice), config=CFG).params == params
 
-        def to_sphere(curve):
-            return fam.params.torus_chart(curve[:, 0], curve[:, 1],
-                                          curve[:, 2])
+    def to_sphere(curve):
+        return params.torus_chart(curve[:, 0], curve[:, 1], curve[:, 2])
 
-        h = hopf_invariant(column_n1, CFG, domain="param",
-                           to_sphere=to_sphere)
-        assert h == -1
+    assert hopf_invariant(column_n1, CFG, domain="param",
+                          to_sphere=to_sphere) == -1
     # classical quaternion-rotation oracle: +1, and -1 after composing
     # with a reflection of the domain sphere
     sphere = lambda x: (x * x).sum(axis=-1) - 1.0

@@ -20,8 +20,8 @@ from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             hausdorff_distance, hopf_invariant,
                             link_1cycle_3manifold,
                             spherical_cone_link, projected_link,
-                            solve_self_intersection, stereographic,
-                            sphere_tangent_basis, stereographic_basis)
+                            oriented_complement, solve_self_intersection,
+                            stereographic, stereographic_basis)
 from genimm import numtopo
 from genimm.numtopo import (_DEDUPE_RADIUS, _dedupe, _newton, _periodic_key,
                             _seeds_near_chain, _star_project)
@@ -181,7 +181,7 @@ class TestCrossingLink:
         # first direction crossing_link draws
         first = np.random.default_rng(CFG.seed + 3).normal(size=3)
         first /= np.linalg.norm(first)
-        rot = np.column_stack([*sphere_tangent_basis(first), first])
+        rot = np.column_stack([oriented_complement(first), first])
         tried = []
         count = numtopo._projected_crossings
 
@@ -214,6 +214,54 @@ class TestCrossingLink:
             crossing_link(a, b, CFG)
         with pytest.raises(ValueError):
             crossing_link(a[:, :2], b[:, :2], CFG)
+
+
+class TestOrientedComplement:
+    @pytest.mark.parametrize("shape", [(3,), (4,), (7, 8)])
+    def test_positive_orthonormal_complement(self, shape):
+        given = np.random.default_rng(sum(shape)).normal(size=shape)
+        rows = np.atleast_2d(given)
+        n, k = shape[-1], len(rows)
+        c = oriented_complement(given)
+        assert c.shape == (n, n - k)
+        assert np.allclose(c.T @ c, np.eye(n - k), atol=1e-12)
+        assert np.allclose(rows @ c, 0.0, atol=1e-12)
+        assert np.linalg.det(np.vstack([rows, c.T])) > 0
+        # negating a row flips det[rows; C^T] of the unfixed complement, so
+        # one of the two calls takes the sign fix
+        flipped = rows * np.where(np.arange(k) == 0, -1.0, 1.0)[:, None]
+        assert np.linalg.det(np.vstack([flipped,
+                                        oriented_complement(flipped).T])) > 0
+
+    def test_rank_deficient_rows_rejected(self):
+        rows = np.array([[1.0, 2.0, 0.0, 1.0], [2.0, 4.0, 0.0, 2.0]])
+        with pytest.raises(NonRegularValueError):
+            oriented_complement(rows)
+        with pytest.raises(NonRegularValueError):
+            oriented_complement(np.zeros(3))
+
+    def test_tracer_follows_the_oriented_tangent(self):
+        # {z = 0, x^2 + y^2 = 1}: det[J; t] > 0 with J = [e3; 2(x, y, 0)]
+        # picks t = (-y, x, 0), so the unit circle is traced counterclockwise
+        def residual(p, _rows):
+            return np.column_stack([p[:, 2], (p[:, :2] ** 2).sum(axis=1) - 1])
+
+        def jacobian(p, _rows):
+            J = np.zeros((len(p), 2, 3))
+            J[:, 0, 2] = 1.0
+            J[:, 1, :2] = 2 * p[:, :2]
+            return J
+
+        curve = numtopo._trace_closed_curve(
+            np.array([1.0, 0.0, 0.0]), residual, jacobian, 1e-10,
+            CFG.trace_step, CFG, [np.zeros(3)])
+        assert np.allclose(residual(curve, None), 0.0, atol=1e-10)
+        steps = np.diff(curve, axis=0)
+        dets = np.linalg.det(np.concatenate(
+            [jacobian(curve[:-1], None), steps[:, None, :]], axis=1))
+        assert np.all(dets > 0)
+        angle = np.unwrap(np.arctan2(curve[:, 1], curve[:, 0]))
+        assert np.isclose(angle[-1], 2 * np.pi, atol=1e-3)
 
 
 class TestStereographic:
