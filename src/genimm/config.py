@@ -11,9 +11,11 @@ vertex margin and the 0.06 tilt from e5 of the curtain directions of
 ``numtopo.link_1cycle_3manifold``, the 1e-6 vertex and parallel margin of
 the projected crossings of ``numtopo.crossing_link``, the 8e-3 framing
 shift, the 6 step halvings of the batched Newton ``numtopo._newton``, the
-dim 6 up to which ``qform.brown`` certifies its splitting by the Gauss sum
-and the 1e-12 bound on |det[rows; complement]| below which
-``numtopo.oriented_complement`` calls its rows rank deficient.  A config
+1% by which the curve tracer's coarse step falls short of
+``trace_coarse_factor`` steps, the dim 6 up to which ``qform.brown``
+certifies its splitting by the Gauss sum and the 1e-12 bound on
+|det[rows; complement]| below which ``numtopo.oriented_complement`` calls
+its rows rank deficient.  A config
 can be loaded from a flat ``key = value`` file; the ``GENIMM_CONFIG``
 environment variable overrides the default config path only, never
 individual values.
@@ -39,11 +41,14 @@ class Config:
     jacobian_min_det: float = 1e-6   # regular-value check threshold
     fd_step: float = 1e-6            # finite-difference step for Jacobians
 
-    # fiber tracing (Hopf invariant)
-    trace_step: float = 1e-2
+    # curve tracing: a coarse walk, then chords bisected down to the step
+    # (trace_step for Hopf fibers, double_trace_step for double curves)
+    trace_step: float = 1e-2         # longest chord of a traced fiber
+    trace_coarse_factor: int = 8     # coarse walk at about this many steps
     trace_corrector_tol: float = 1e-8
-    trace_closure_tol: float = 1e-4
-    trace_max_steps: int = 20000
+    trace_closure_tol: float = 1e-4  # closing gap, times the coarse factor
+    trace_max_steps: int = 20000     # steps of one walk: a coarse walk or
+                                     # the re-trace of a rejected chord
 
     # curve-curve linking
     min_image_separation: float = 1e-4   # pushed cycle vs immersed image
@@ -85,6 +90,8 @@ class Config:
             raise ValueError("sign conventions must be +-1")
         if self.sigma_sign not in (-1, 1):
             raise ValueError("sigma_sign must be +-1")
+        if self.trace_coarse_factor < 1:
+            raise ValueError("trace_coarse_factor must be at least 1")
 
     def replace(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)

@@ -22,11 +22,12 @@ iterations seeded from coarse grids.
 Derivatives without a closed form come from the one central-difference
 helper, geometry.fd_jacobian.  Every equation, square or wide, is solved by
 the one batched damped Gauss-Newton, _newton: degree preimages, curtain
-crossings, fiber and double-curve seeds, and the corrector of the one
-predictor-corrector tracer, _trace_closed_curve, which follows closed level
-curves (Hopf fibers and double-point curves) from a residual and its
-Jacobian alone.  Converged solutions are deduplicated by _dedupe within
-_DEDUPE_RADIUS.
+crossings, fiber and double-curve seeds, and both stages of the one
+tracer, _trace_closed_curve, which follows closed level curves (Hopf
+fibers and double-point curves) from a residual and its Jacobian alone:
+the corrector of a coarse sequential predictor-corrector walk, then one
+batch per refinement level for the chord midpoints.  Converged solutions
+are deduplicated by _dedupe within _DEDUPE_RADIUS.
 
 Every sign rests on one orientation rule: the normal or the Jacobian rows
 first, then the tangent or frame, make a positive basis.  The one helper
@@ -573,31 +574,37 @@ def positive_tangent_basis(constraint, x, config: Config) -> np.ndarray:
     return oriented_complement(fd_jacobian(constraint, x, config.fd_step))
 
 
-def _trace_closed_curve(start, residual, jacobian, tol, step, config: Config,
-                        shifts):
-    """Predictor-corrector tracing of a closed regular curve through start.
+# The halves of a bent chord of length L are longer than L / 2, by about
+# (kappa L)^2 / 32 of it at curvature kappa.  A coarse chord of exactly K
+# steps would therefore end its last bisection level just over step and
+# take one more level, doubling the vertices; a coarse step 1% short of K
+# steps absorbs kappa L up to about 0.5.
+_COARSE_SHORTFALL = 0.99
 
-    The curve is {F = 0} for the residual and jacobian of _newton, which
-    corrects each predicted point to tol as a batch of one.  The predictor
-    follows the oriented unit tangent t, the oriented_complement of the
-    Jacobian, so det[J; t] > 0 all along the curve.  A failed correction
-    halves the predictor step down to a tenth of config.trace_closure_tol.
-    The curve has closed when the walk returns to start modulo one of the
-    shift vectors, which list the period lattice (just the zero vector for
-    a curve in R^n).
+
+def _walk(x, ends, residual, jacobian, tol, step, close_tol, skip,
+          config: Config, stage):
+    """Sequential predictor-corrector walk from x until it comes within
+    close_tol of one of the ends; returns the points and the end reached.
+
+    _newton corrects each predicted point to tol as a batch of one.  The
+    predictor follows the oriented unit tangent t, the oriented_complement
+    of the Jacobian, so det[J; t] > 0 all along the curve.  Within 1.5
+    steps of an end the predictor halves the gap instead, and a failed
+    correction halves the predictor step down to a tenth of
+    config.trace_closure_tol.  The first skip steps neither aim at an end
+    nor stop, so a walk round a closed curve leaves its start first.
+    Raises ArithmeticError naming the stage after config.trace_max_steps
+    steps.
     """
-    def gap(x):
-        return min(np.linalg.norm(x - start - s) for s in shifts)
-
-    x = start
     pts = [x]
     for n in range(config.trace_max_steps):
         t = oriented_complement(jacobian(x[None], None)[0])[:, 0]
         h = step
-        if n > 5:
-            g = gap(x)
+        if n >= skip:
+            g = np.linalg.norm(x - ends, axis=1).min()
             if g < 1.5 * step:
-                h = max(g * 0.5, config.trace_closure_tol * 0.25)
+                h = max(g * 0.5, close_tol * 0.25)
         while True:
             cand, ok = _newton((x + h * t)[None], residual, jacobian, tol,
                                config)
@@ -605,28 +612,100 @@ def _trace_closed_curve(start, residual, jacobian, tol, step, config: Config,
             if ok[0]:
                 break
             if h <= config.trace_closure_tol * 0.1:
-                raise ArithmeticError("corrector failed to converge while "
-                                      "tracing a closed curve")
+                raise ArithmeticError(f"{stage}: the corrector failed to "
+                                      "converge")
         x = cand[0]
         pts.append(x)
-        if n > 5 and gap(x) < config.trace_closure_tol:
-            return np.array(pts)
-    raise ArithmeticError("curve failed to close while tracing")
+        if n >= skip:
+            g = np.linalg.norm(x - ends, axis=1)
+            if g.min() < close_tol:
+                return np.array(pts), ends[np.argmin(g)]
+    raise ArithmeticError(f"{stage}: no end reached in "
+                          f"{config.trace_max_steps} steps")
 
 
-def _trace_fibers(seeds, residual, jacobian, config: Config, shifts):
-    """Every closed level curve reached from the seeds, each traced once.
+def _rejected_midpoints(a, b, z, converged, J):
+    """Rows whose corrected midpoint z of the chord a -> b fails its
+    certificate: z did not converge, moved more than half the chord from
+    its midpoint, leaves a half-chord not shorter than the chord, or has
+    det[J(z); chord] <= 0.  That determinant keeps its sign along a regular
+    curve, so a flip means z landed on another branch.
+    """
+    c = b - a
+    length = np.linalg.norm(c, axis=1)
+    moved = np.linalg.norm(z - 0.5 * (a + b), axis=1)
+    half = np.maximum(np.linalg.norm(z - a, axis=1),
+                      np.linalg.norm(b - z, axis=1))
+    det = np.linalg.det(np.concatenate([J, c[:, None, :]], axis=1))
+    return ~converged | (moved > 0.5 * length) | (half >= length) | (det <= 0)
 
-    The seeds are refined in one _newton batch before any tracing."""
-    tol = config.trace_corrector_tol
-    refined, ok = _newton(seeds, residual, jacobian, tol, config)
+
+def _trace_closed_curve(start, residual, jacobian, tol, step, config: Config,
+                        shifts):
+    """A closed regular curve {F = 0} through start, sampled with chords
+    at most step long; returns the vertices and the number of rejected
+    midpoints.
+
+    The residual and jacobian are those of _newton.  A coarse _walk with
+    K = config.trace_coarse_factor goes round the curve at just under K
+    times step (_COARSE_SHORTFALL) until it returns, within K times
+    config.trace_closure_tol, to start modulo one of the shift vectors,
+    which list the period lattice (just the zero vector for a curve in
+    R^n).  Then, one level at a time, the midpoint of every chord longer
+    than step, the closing chord to the shifted start included, is
+    corrected in one _newton batch onto the curve and the hyperplane that
+    bisects its chord (Allgower and Georg, Numerical Continuation Methods,
+    1990).  A midpoint that fails _rejected_midpoints has the arc of its
+    chord re-traced by a _walk at step instead.
+    """
+    k = config.trace_coarse_factor
+    pts, end = _walk(start, start + np.asarray(shifts), residual, jacobian,
+                     tol, _COARSE_SHORTFALL * k * step,
+                     k * config.trace_closure_tol, 6, config, "coarse walk")
+    rejected = 0
+    while True:
+        chord = np.diff(pts, axis=0, append=end[None])
+        long = np.nonzero(np.linalg.norm(chord, axis=1) > step)[0]
+        if len(long) == 0:
+            return pts, rejected
+        a, c = pts[long], chord[long]
+        mid = a + 0.5 * c
+
+        def bisected(z, rows):
+            return np.column_stack([residual(z, rows),
+                                    ((z - mid[rows]) * c[rows]).sum(axis=1)])
+
+        def bisected_jacobian(z, rows):
+            return np.concatenate([jacobian(z, rows), c[rows, None, :]],
+                                  axis=1)
+
+        z, ok = _newton(mid, bisected, bisected_jacobian, tol, config)
+        bad = _rejected_midpoints(a, a + c, z, ok,
+                                  jacobian(z, np.arange(len(z))))
+        at, new = [long[~bad] + 1], [z[~bad]]
+        for i in long[bad]:
+            arc = _walk(pts[i], pts[i] + chord[i][None], residual, jacobian,
+                        tol, step, step, 0, config,
+                        "re-trace of a rejected chord")[0][1:]
+            at.append(np.full(len(arc), i + 1))
+            new.append(arc)
+        rejected += int(bad.sum())
+        pts = np.insert(pts, np.concatenate(at), np.concatenate(new), axis=0)
+
+
+def _trace_fibers(points, residual, jacobian, config: Config, shifts):
+    """Every closed level curve through the points, each traced once.
+
+    The points lie on the level set: the finders refine their seeds in one
+    _newton batch first."""
     curves = []
     trees = []
-    for x in refined[ok]:
+    for x in points:
         if any(tree.query(x)[0] < 3 * config.trace_step for tree in trees):
             continue
-        curve = _trace_closed_curve(x, residual, jacobian, tol,
-                                    config.trace_step, config, shifts)
+        curve = _trace_closed_curve(x, residual, jacobian,
+                                    config.trace_corrector_tol,
+                                    config.trace_step, config, shifts)[0]
         curves.append(curve)
         trees.append(cKDTree(np.concatenate([curve + s for s in shifts])))
     return curves
@@ -652,9 +731,15 @@ def _fibers_param(map_fn, v, config: Config, jac_fn=None):
     if len(seeds) > 400:
         rng = np.random.default_rng(config.seed)
         seeds = seeds[rng.choice(len(seeds), 400, replace=False)]
+    x, ok = _newton(seeds, residual, jacobian, config.trace_corrector_tol,
+                    config)
+    # Newton may leave the box: drop r outside (0, pi), as degree_S3 does,
+    # and wrap the angles, so the one-period shifts below match every copy
+    x = x[ok & (x[:, 1] > 1e-7) & (x[:, 1] < np.pi - 1e-7)]
+    x[:, ::2] %= 2 * np.pi
     shifts = [np.array([2 * np.pi * i, 0.0, 2 * np.pi * j])
               for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    return _trace_fibers(seeds, residual, jacobian, config, shifts)
+    return _trace_fibers(x, residual, jacobian, config, shifts)
 
 
 def _fibers_ambient(field, constraint, v, config: Config):
@@ -677,7 +762,9 @@ def _fibers_ambient(field, constraint, v, config: Config):
     seeds = pts[np.linalg.norm(vals - v, axis=-1) < 0.25]
     if len(seeds) > 400:
         seeds = seeds[rng.choice(len(seeds), 400, replace=False)]
-    return _trace_fibers(seeds, residual, jacobian, config, [np.zeros(4)])
+    x, ok = _newton(seeds, residual, jacobian, config.trace_corrector_tol,
+                    config)
+    return _trace_fibers(x[ok], residual, jacobian, config, [np.zeros(4)])
 
 
 def hopf_invariant(map_fn, config: Config = DEFAULT, *, domain="param",
@@ -690,7 +777,9 @@ def hopf_invariant(map_fn, config: Config = DEFAULT, *, domain="param",
     Each fiber is traced, oriented so that the differential carries a
     positive complement onto the chosen tangent basis at the value, pushed
     onto the unit 3-sphere, and linked with gauss_link and
-    spherical_cone_link; the two must agree.  A map that misses a value is null homotopic, giving 0.
+    spherical_cone_link; the two must agree.  A map that misses a value is
+    null homotopic, giving 0, so the fibers over the second value are not
+    traced when the first has none.
 
     Sign normalization: the quaternionic rotation map x -> x i conj(x) has
     Hopf invariant +1.  This is the convention the closed-form frame columns
@@ -704,19 +793,24 @@ def hopf_invariant(map_fn, config: Config = DEFAULT, *, domain="param",
     if domain == "param":
         if to_sphere is None:
             raise ValueError("param domain requires to_sphere")
-        fib1 = _fibers_param(map_fn, v1, config, jac_fn)
-        fib2 = _fibers_param(map_fn, v2, config, jac_fn)
-        rays1 = [to_sphere(c) for c in fib1]
-        rays2 = [to_sphere(c) for c in fib2]
+
+        def fibers(v):
+            return [to_sphere(c)
+                    for c in _fibers_param(map_fn, v, config, jac_fn)]
     elif domain == "ambient":
         if constraint is None:
             raise ValueError("ambient domain requires constraint")
-        rays1 = _fibers_ambient(map_fn, constraint, v1, config)
-        rays2 = _fibers_ambient(map_fn, constraint, v2, config)
+
+        def fibers(v):
+            return _fibers_ambient(map_fn, constraint, v, config)
     else:
         raise ValueError("domain must be 'param' or 'ambient'")
 
-    if not rays1 or not rays2:
+    rays1 = fibers(v1)
+    if not rays1:
+        return 0
+    rays2 = fibers(v2)
+    if not rays2:
         return 0
 
     rays1 = [_unit(c) for c in rays1]
@@ -794,9 +888,11 @@ def solve_self_intersection(family, config: Config = DEFAULT):
     points of the domain hypersurface {G = 0}: the first 600 grid-proximity
     seeds go through _newton in one batch, and the first 80 solutions in
     seed order whose points lie min_preimage_separation apart are kept.
-    Each solution curve is then followed with the predictor-corrector
-    tracer in R^8.  Returns a list of SelfIntersection records, one per
-    double curve.
+    Each solution curve is then traced in R^8 by _trace_closed_curve: a
+    coarse walk at config.trace_coarse_factor times double_trace_step,
+    refined by batched chord midpoints until no chord is longer than
+    double_trace_step.  Returns a list of SelfIntersection records, one
+    per double curve.
     """
     def constraint(x):
         return domain_constraint(x, family.params)
@@ -833,7 +929,7 @@ def solve_self_intersection(family, config: Config = DEFAULT):
             continue
         z0 = solved[idx]
         track = _trace_closed_curve(z0, residual, jacobian, config.newton_tol,
-                                    step, config, [np.zeros(8)])
+                                    step, config, [np.zeros(8)])[0]
         # the track passes the swapped start exactly when the two branches
         # over the double curve join into one preimage circle
         merged = bool(np.any(np.linalg.norm(track[1:] - z0[swap], axis=1)

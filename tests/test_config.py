@@ -1,8 +1,10 @@
-"""Configuration: every key is read by the package."""
+"""Configuration: every key is read by the package, bad values are rejected."""
 
 import dataclasses
 import re
 from pathlib import Path
+
+import pytest
 
 import genimm
 from genimm.config import Config
@@ -16,3 +18,8 @@ def test_every_config_key_is_read_outside_config():
     unread = [f.name for f in dataclasses.fields(Config)
               if not re.search(rf"\.{f.name}\b", source)]
     assert unread == []
+
+
+def test_trace_coarse_factor_must_be_at_least_one():
+    with pytest.raises(ValueError, match="trace_coarse_factor"):
+        Config(trace_coarse_factor=0)

@@ -252,9 +252,10 @@ class TestOrientedComplement:
             J[:, 1, :2] = 2 * p[:, :2]
             return J
 
-        curve = numtopo._trace_closed_curve(
+        curve, rejected = numtopo._trace_closed_curve(
             np.array([1.0, 0.0, 0.0]), residual, jacobian, 1e-10,
             CFG.trace_step, CFG, [np.zeros(3)])
+        assert rejected == 0
         assert np.allclose(residual(curve, None), 0.0, atol=1e-10)
         steps = np.diff(curve, axis=0)
         dets = np.linalg.det(np.concatenate(
@@ -262,6 +263,193 @@ class TestOrientedComplement:
         assert np.all(dets > 0)
         angle = np.unwrap(np.arctan2(curve[:, 1], curve[:, 0]))
         assert np.isclose(angle[-1], 2 * np.pi, atol=1e-3)
+
+
+def _unit_circle(p, _rows):
+    return np.column_stack([p[:, 2], (p[:, :2] ** 2).sum(axis=1) - 1])
+
+
+def _unit_circle_jacobian(p, _rows):
+    J = np.zeros((len(p), 2, 3))
+    J[:, 0, 2] = 1.0
+    J[:, 1, :2] = 2 * p[:, :2]
+    return J
+
+
+def _box_curve(p, _rows):
+    # r = pi/2 + 0.3 sin(phi), theta = phi + 0.2 sin(phi): one circle of
+    # the periodic (theta, r, phi) box, closing through the shift
+    # (2 pi, 0, 2 pi)
+    u = p[:, 0] - p[:, 2] - 0.2 * np.sin(p[:, 2])
+    return np.column_stack([p[:, 1] - np.pi / 2 - 0.3 * np.sin(p[:, 2]),
+                            np.sin(u)])
+
+
+def _box_curve_jacobian(p, _rows):
+    u = p[:, 0] - p[:, 2] - 0.2 * np.sin(p[:, 2])
+    J = np.zeros((len(p), 2, 3))
+    J[:, 0, 1] = 1.0
+    J[:, 0, 2] = -0.3 * np.cos(p[:, 2])
+    J[:, 1, 0] = np.cos(u)
+    J[:, 1, 2] = -np.cos(u) * (1 + 0.2 * np.cos(p[:, 2]))
+    return J
+
+
+_BOX_SHIFTS = [np.array([2 * np.pi * i, 0.0, 2 * np.pi * j])
+               for i in (-1, 0, 1) for j in (-1, 0, 1)]
+
+# {z = 0, (|xy|^2 - 1)(|xy|^2 - 1.02^2) = 0}: two concentric circles whose
+# oriented tangents turn opposite ways, so a midpoint corrected onto the
+# outer one has det[J; chord] < 0
+_RHO2 = 1.02 ** 2
+
+
+def _two_circles(p, _rows):
+    q = (p[:, :2] ** 2).sum(axis=1)
+    return np.column_stack([p[:, 2], (q - 1) * (q - _RHO2)])
+
+
+def _two_circles_jacobian(p, _rows):
+    q = (p[:, :2] ** 2).sum(axis=1)
+    J = np.zeros((len(p), 2, 3))
+    J[:, 0, 2] = 1.0
+    J[:, 1, :2] = 2 * p[:, :2] * (2 * q - 1 - _RHO2)[:, None]
+    return J
+
+
+def _closing_end(curve, shifts):
+    """The shifted start the closing chord of a traced curve runs to."""
+    ends = curve[0] + np.array(shifts)
+    return ends[np.argmin(np.linalg.norm(ends - curve[-1], axis=1))]
+
+
+def _assert_certified(curve, residual, jacobian, tol, step, shifts):
+    end = _closing_end(curve, shifts)
+    chords = np.diff(curve, axis=0, append=end[None])
+    assert np.linalg.norm(chords, axis=1).max() <= step
+    assert np.linalg.norm(residual(curve, None), axis=1).max() < tol
+    J = jacobian(curve, None)
+    assert np.all(np.linalg.det(np.concatenate([J, chords[:, None]],
+                                               axis=1)) > 0)
+    return end
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("case", ["circle", "box"])
+    def test_refined_curve_is_certified(self, case):
+        if case == "circle":
+            start, residual, jacobian = (np.array([1.0, 0.0, 0.0]),
+                                         _unit_circle, _unit_circle_jacobian)
+            shifts = [np.zeros(3)]
+        else:
+            start, residual, jacobian = (np.array([0.0, np.pi / 2, 0.0]),
+                                         _box_curve, _box_curve_jacobian)
+            shifts = _BOX_SHIFTS
+        curve, rejected = numtopo._trace_closed_curve(
+            start, residual, jacobian, 1e-10, CFG.trace_step, CFG, shifts)
+        assert rejected == 0
+        end = _assert_certified(curve, residual, jacobian, 1e-10,
+                                CFG.trace_step, shifts)
+        shift = end - curve[0]
+        if case == "circle":
+            assert np.array_equal(shift, np.zeros(3))
+            # 2 pi / trace_step chords, plus the ~1% shortfall of the
+            # coarse step and the closure's shorter chords
+            assert 2 * np.pi / CFG.trace_step < len(curve) < 700
+        else:
+            assert np.allclose(np.abs(shift), [2 * np.pi, 0.0, 2 * np.pi])
+
+    def test_coarse_factor_one_is_the_sequential_walk(self):
+        # K = 1: the walk already meets the spacing and no level runs
+        curve, rejected = numtopo._trace_closed_curve(
+            np.array([1.0, 0.0, 0.0]), _unit_circle, _unit_circle_jacobian,
+            1e-10, CFG.trace_step, CFG.replace(trace_coarse_factor=1),
+            [np.zeros(3)])
+        assert rejected == 0
+        _assert_certified(curve, _unit_circle, _unit_circle_jacobian, 1e-10,
+                          CFG.trace_step, [np.zeros(3)])
+
+    def test_each_midpoint_check(self):
+        # chord (0, 0) -> (1, 0) and J = (0, -1): det[J; chord] = 1.  Each
+        # row after the first fails exactly one check.  A half-chord that is
+        # not shorter puts z at least half a chord from the midpoint, so the
+        # third row sits on the boundary of the second check, at z = a.
+        a = np.zeros((5, 2))
+        b = np.tile([1.0, 0.0], (5, 1))
+        z = np.array([[0.5, 0.1], [0.5, 0.1], [0.5, 0.6], [0.0, 0.0],
+                      [0.5, 0.1]])
+        converged = np.array([True, False, True, True, True])
+        J = np.tile([[[0.0, -1.0]]], (5, 1, 1))
+        J[4] = -J[4]
+        assert numtopo._rejected_midpoints(a, b, z, converged, J).tolist() \
+            == [False, True, True, True, True]
+
+    @staticmethod
+    def _force(monkeypatch, case):
+        """Spoil the first midpoint of the first refinement level (the
+        first _newton batch of more than one row) in the given way; returns
+        that midpoint's chord ends, then the start and end of every
+        re-trace walk."""
+        real_newton, real_walk = numtopo._newton, numtopo._walk
+        chord, retraced = [], []
+
+        def newton(x, residual, jacobian, tol, config):
+            z, ok = real_newton(x, residual, jacobian, tol, config)
+            if chord or len(x) == 1:
+                if chord and case == "stuck":
+                    ok[:] = False
+                return z, ok
+            # the last Jacobian row of a bisected system is its chord
+            c = jacobian(x[:1], np.arange(1))[0, -1]
+            chord.extend([x[0] - 0.5 * c, x[0] + 0.5 * c])
+            if case in ("unconverged", "stuck"):
+                ok[0] = False
+            elif case == "moved":
+                z[0, 2] += 0.6 * np.linalg.norm(c)
+            elif case == "half-chord":
+                z[0] = chord[1]
+            elif case == "flipped":
+                z[0, :2] *= np.sqrt(_RHO2) / np.linalg.norm(z[0, :2])
+            return z, ok
+
+        def walk(x, ends, *args):
+            pts, end = real_walk(x, ends, *args)
+            if args[-1].startswith("re-trace"):
+                retraced.append((x, end, pts))
+            return pts, end
+
+        monkeypatch.setattr(numtopo, "_newton", newton)
+        monkeypatch.setattr(numtopo, "_walk", walk)
+        return chord, retraced
+
+    @pytest.mark.parametrize("case", ["unconverged", "moved", "half-chord",
+                                      "flipped"])
+    def test_rejected_midpoint_has_its_arc_retraced(self, monkeypatch, case):
+        chord, retraced = self._force(monkeypatch, case)
+        curve, rejected = numtopo._trace_closed_curve(
+            np.array([1.0, 0.0, 0.0]), _two_circles, _two_circles_jacobian,
+            1e-10, CFG.trace_step, CFG, [np.zeros(3)])
+        assert rejected == 1
+        # one fine walk from the spoiled chord's start to its end, whose
+        # points are vertices; every vertex is on the inner circle and
+        # every chord certified
+        assert len(retraced) == 1
+        start, end, arc = retraced[0]
+        assert np.allclose([start, end], chord, atol=1e-12)
+        assert len(arc) >= 8
+        assert cKDTree(curve).query(arc)[0].max() == 0.0
+        assert np.allclose(np.linalg.norm(curve[:, :2], axis=1), 1.0,
+                           atol=1e-9)
+        _assert_certified(curve, _two_circles, _two_circles_jacobian, 1e-10,
+                          CFG.trace_step, [np.zeros(3)])
+
+    def test_retrace_that_fails_raises(self, monkeypatch):
+        self._force(monkeypatch, "stuck")
+        with pytest.raises(ArithmeticError, match="re-trace"):
+            numtopo._trace_closed_curve(
+                np.array([1.0, 0.0, 0.0]), _two_circles,
+                _two_circles_jacobian, 1e-10, CFG.trace_step, CFG,
+                [np.zeros(3)])
 
 
 class TestStereographic:
@@ -411,6 +599,14 @@ class TestDegree:
             degree_S3(fn, (0.0, 0.0, 1.0, 0.0), CFG, jac_fn=jac)
 
 
+def northish(theta, r, phi):
+    # misses (0, 0, -1); over (0, 0, 1) it has the two circles theta in
+    # {0, pi}, r = pi/2 of the box
+    v = np.stack([0.2 * np.sin(theta), 0.2 * np.cos(r), np.ones_like(phi)],
+                 axis=-1)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 class TestHopf:
     def test_classical_fibration_oracle(self):
         # exact fibers of q -> q i conj(q): over (1,0,0) the unit complex
@@ -449,21 +645,37 @@ class TestHopf:
             assert hopf_invariant(n1, CFG, domain="param",
                                   to_sphere=to_sphere, values=values) == -1
 
-    def test_missed_value_is_null_homotopic(self):
-        def northish(theta, r, phi):
-            v = np.stack([0.2 * np.sin(theta), 0.2 * np.cos(r),
-                          np.ones_like(phi)], axis=-1)
-            return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
+    def test_missed_value_is_null_homotopic(self, monkeypatch):
         fam = FamilyMap(HalfInteger(1))
 
         def to_sphere(curve):
             return fam.params.torus_chart(curve[:, 0], curve[:, 1],
                                           curve[:, 2])
 
+        searched = []
+        real = numtopo._fibers_param
+
+        def fibers(map_fn, v, config, jac_fn=None):
+            searched.append(tuple(v))
+            return real(map_fn, v, config, jac_fn)
+
+        monkeypatch.setattr(numtopo, "_fibers_param", fibers)
         h = hopf_invariant(northish, CFG, domain="param", to_sphere=to_sphere,
                            values=((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)))
         assert h == 0
+        # no fiber over the first value: the second is never traced
+        assert searched == [(0.0, 0.0, -1.0)]
+
+    def test_param_fibers_stay_in_the_box(self):
+        # Newton carries some grid seeds to r outside (0, pi); only the two
+        # circles inside the box are fibers
+        fibers = numtopo._fibers_param(northish, np.array([0.0, 0.0, 1.0]),
+                                       CFG)
+        assert len(fibers) == 2
+        for fib in fibers:
+            assert np.allclose(fib[:, 1], np.pi / 2, atol=1e-7)
+            assert np.allclose(np.sin(fib[:, 0]), 0.0, atol=1e-7)
+        assert sorted(np.cos(f[0, 0]).round() for f in fibers) == [-1, 1]
 
     def test_returned_fibers_are_closed_unit_rays(self):
         # the fibers hopf_invariant links, normalized as it normalizes them
@@ -512,6 +724,24 @@ class TestSelfIntersection:
         assert np.abs(img[:, [0, 1, 4]]).max() < 1e-9
         radius = np.linalg.norm(img[:, 2:4], axis=1)
         assert np.allclose(radius, fam.double_point_radius, atol=1e-9)
+
+    @pytest.mark.parametrize("m, merged, vertices", [
+        ("1/2", True, 2851), ("1", False, 1429), ("-3/2", True, 2858)])
+    def test_refined_trace_keeps_the_family_curves(self, m, merged,
+                                                    vertices):
+        # vertices: the counts of the sequential tracer at the default
+        # double_trace_step, per preimage component
+        fam = FamilyMap(m, config=CFG)
+        curves = solve_self_intersection(fam, CFG)
+        assert len(curves) == 1
+        si = curves[0]
+        assert si.merged_cover == merged
+        closed = fam.preimage_components(8192)
+        for comp in si.preimage_components:
+            assert abs(len(comp) - vertices) <= 0.05 * vertices
+            assert min(hausdorff_distance(comp, c) for c in closed) < 1e-4
+        assert hausdorff_distance(si.image_curve,
+                                  fam.self_intersection_image(4096)) < 1e-4
 
     def test_no_seeds_gives_no_curves(self, monkeypatch):
         monkeypatch.setattr(numtopo, "_double_point_seeds",
