@@ -6,8 +6,8 @@ the 0.35/0.2 grid thresholds in ``degree_S3``, the 1e-6 dedupe radius of
 converged solutions, the 400-seed caps, 48-point grids and 120,000 samples
 of the fiber finders, the 0.25/0.08/0.025 chain seed radii and the
 60,000-point start and 150,000-point draws of the chain seed search, the
-600-seed and 80-solution caps of ``solve_self_intersection``, the 1e-5
-vertex margin and the 0.06 tilt from e5 of the curtain directions of
+13-neighbour query of the double-curve seed grid, the 1e-5 vertex margin
+and the 0.06 tilt from e5 of the curtain directions of
 ``numtopo.link_1cycle_3manifold``, the 1e-6 vertex and parallel margin of
 the projected crossings of ``numtopo.crossing_link``, the 8e-3 framing
 shift, the 6 step halvings of the batched Newton ``numtopo._newton``, the
@@ -58,7 +58,9 @@ class Config:
     apex_retries: int = 5            # projection directions, spherical-cone apexes
 
     # self-intersection solver
-    pair_seed_radius: float = 0.08
+    pair_seed_radius: float = 0.08   # largest image gap of a seed pair
+    double_seed_rings: int = 12      # seed grid: rings in the kink disk,
+                                     # 4x as many sweep angles
     min_preimage_separation: float = 5e-2
     double_trace_step: float = 5e-3
 
@@ -92,6 +94,12 @@ class Config:
             raise ValueError("sigma_sign must be +-1")
         if self.trace_coarse_factor < 1:
             raise ValueError("trace_coarse_factor must be at least 1")
+        if self.double_seed_rings < 1:
+            raise ValueError("double_seed_rings must be at least 1")
+        for key in ("pair_seed_radius", "min_preimage_separation",
+                    "double_trace_step"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive")
 
     def replace(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)

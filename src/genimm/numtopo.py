@@ -849,35 +849,41 @@ class SelfIntersection:
     merged_cover: bool
 
 
+def _kink_disk_grid(params, n):
+    """Domain points uniform in the kink disk, swept at 4n angles: ring
+    k < n at disk radius (k + 1/2) a / n holds ceil(2 pi (k + 1/2)) points,
+    odd rings turned by half a step."""
+    r, phi = np.concatenate([
+        [np.full(c, k + 0.5), (np.arange(c) + 0.5 * (k % 2)) / c]
+        for k in range(n) for c in [int(np.ceil(2 * np.pi * (k + 0.5)))]],
+        axis=1)
+    theta = np.linspace(0, 2 * np.pi, 4 * n, endpoint=False)
+    return params.torus_chart(np.repeat(theta, len(r)),
+                              np.tile(r * np.pi / n, 4 * n),
+                              np.tile(2 * np.pi * phi, 4 * n))
+
+
 def _double_point_seeds(family, config: Config):
-    p = family.params
-    theta = np.linspace(0, 2 * np.pi, 72, endpoint=False)
-    r_coarse = np.linspace(0.08, np.pi - 0.08, 26)
-    r_fine = np.linspace(max(p.double_point_r - 0.25, 0.02),
-                         p.double_point_r + 0.25, 14)
-    r = np.unique(np.concatenate([r_coarse, r_fine]))
-    phi = np.linspace(0, 2 * np.pi, 44, endpoint=False)
-    T, R, P = np.meshgrid(theta, r, phi, indexing="ij")
-    pts = family.params.torus_chart(T.ravel(), R.ravel(), P.ravel())
+    """Seed pairs (x, y), shape (N, 8), on the grid _kink_disk_grid of
+    config.double_seed_rings rings.  Each grid image is paired with its 12
+    nearest images within pair_seed_radius, which bounds the pairs per
+    point.  Pairs more than min_preimage_separation apart are kept, each
+    unordered pair once (i < j), in order of image gap.  Nothing is
+    capped."""
+    pts = _kink_disk_grid(family.params, config.double_seed_rings)
     img = family.ambient_eval(pts)
-    tree = cKDTree(img)
-    # k nearest neighbours instead of query_pairs: the grid is very dense
-    # near the disk centres and an all-pairs query there blows up memory.
-    # Neighbours past the radius come back as (inf, len(img)); the close
-    # mask drops them before nbr is read.
-    dist, nbr = tree.query(img, k=13,
-                           distance_upper_bound=config.pair_seed_radius)
-    i = np.repeat(np.arange(len(img)), 12)
-    j = nbr[:, 1:].ravel()
-    close = dist[:, 1:].ravel() < config.pair_seed_radius
-    i, j = i[close], j[close]
-    sep = np.linalg.norm(pts[i] - pts[j], axis=1)
-    keep = sep > config.min_preimage_separation
-    i, j = i[keep], j[keep]
-    if len(i) == 0:
-        return np.empty((0, 8))
-    gap = np.linalg.norm(img[i] - img[j], axis=1)
-    order = np.argsort(gap)[:4000]
+    # neighbours past the radius come back as (inf, len(img)); the close
+    # mask drops them before nbr is read
+    dist, nbr = cKDTree(img).query(
+        img, k=13, distance_upper_bound=config.pair_seed_radius)
+    close = dist[:, 1:] < config.pair_seed_radius
+    i, j = np.nonzero(close)[0], nbr[:, 1:][close]
+    far = (np.linalg.norm(pts[i] - pts[j], axis=1)
+           > config.min_preimage_separation)
+    i, j = np.divmod(np.unique(np.minimum(i, j)[far] * len(pts)
+                               + np.maximum(i, j)[far]), len(pts))
+    order = np.argsort(np.linalg.norm(img[i] - img[j], axis=1),
+                       kind="stable")
     return np.concatenate([pts[i][order], pts[j][order]], axis=1)
 
 
@@ -885,14 +891,14 @@ def solve_self_intersection(family, config: Config = DEFAULT):
     """Trace the double-point curves of a family member numerically.
 
     Solves the 7 x 8 system f(x) = f(y), G(x) = G(y) = 0 on pairs of
-    points of the domain hypersurface {G = 0}: the first 600 grid-proximity
-    seeds go through _newton in one batch, and the first 80 solutions in
-    seed order whose points lie min_preimage_separation apart are kept.
-    Each solution curve is then traced in R^8 by _trace_closed_curve: a
-    coarse walk at config.trace_coarse_factor times double_trace_step,
-    refined by batched chord midpoints until no chord is longer than
-    double_trace_step.  Returns a list of SelfIntersection records, one
-    per double curve.
+    points of the domain hypersurface {G = 0}: every _double_point_seeds
+    pair goes through _newton in one batch.  Until no solution whose
+    points lie min_preimage_separation apart is left, the first one is
+    traced in R^8 by _trace_closed_curve, at double_trace_step, and the
+    solutions in its tube, in either order, are dropped.  The seed grid
+    must resolve each traced curve: the nearest grid points of each vertex
+    pair have images closer than pair_seed_radius, or ArithmeticError
+    names the stage.  Returns one SelfIntersection per double curve.
     """
     def constraint(x):
         return domain_constraint(x, family.params)
@@ -915,11 +921,12 @@ def solve_self_intersection(family, config: Config = DEFAULT):
         J[:, 6, 4:] = grad[:, 1]
         return J
 
-    refined, ok = _newton(_double_point_seeds(family, config)[:600],
-                          residual, jacobian, config.newton_tol, config)
+    refined, ok = _newton(_double_point_seeds(family, config), residual,
+                          jacobian, config.newton_tol, config)
     ok &= (np.linalg.norm(refined[:, :4] - refined[:, 4:], axis=1)
            >= config.min_preimage_separation)
-    solved = refined[ok][:80]
+    solved = refined[ok]
+    grid = _kink_disk_grid(family.params, config.double_seed_rings)
     results = []
     consumed = np.zeros(len(solved), dtype=bool)
     swap = [4, 5, 6, 7, 0, 1, 2, 3]
@@ -941,6 +948,14 @@ def solve_self_intersection(family, config: Config = DEFAULT):
             merged_cover=merged))
         both = np.concatenate([track, track[:, swap]])
         consumed |= cKDTree(both).query(solved)[0] < 3 * step
+        near = grid[cKDTree(grid).query(track.reshape(-1, 4))[1]]
+        img = family.ambient_eval(near).reshape(-1, 2, 5)
+        gap = np.linalg.norm(img[:, 0] - img[:, 1], axis=1).max()
+        if gap >= config.pair_seed_radius:
+            raise ArithmeticError(
+                f"double-curve seed grid too coarse: nearest grid points of "
+                f"a traced pair have image gap {gap:.3g}, not below "
+                f"pair_seed_radius {config.pair_seed_radius:g}")
     return results
 
 

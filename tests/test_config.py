@@ -23,3 +23,12 @@ def test_every_config_key_is_read_outside_config():
 def test_trace_coarse_factor_must_be_at_least_one():
     with pytest.raises(ValueError, match="trace_coarse_factor"):
         Config(trace_coarse_factor=0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("double_seed_rings", 0), ("pair_seed_radius", 0.0),
+    ("pair_seed_radius", -0.08), ("min_preimage_separation", 0.0),
+    ("double_trace_step", -5e-3)])
+def test_double_curve_keys_must_be_positive(key, value):
+    with pytest.raises(ValueError, match=key):
+        Config(**{key: value})

@@ -15,8 +15,8 @@ from genimm.invariants import (Component5, EmbeddingTest, ImmersionState5,
                                connected_sum5, embedding_test, family_state,
                                lambda_, lk_of_family, reverse_orientation,
                                smale_of_family, tau)
-from genimm.invariants import (_framing_curves, _framing_null_homologous,
-                               second_column_hopf)
+from genimm.invariants import (_family_pushoff_link, _framing_curves,
+                               _framing_null_homologous, second_column_hopf)
 from genimm.geometry import FamilyMap
 from genimm.numtopo import (_unit, choose_pole, gauss_link, projected_link,
                             stereographic)
@@ -316,6 +316,14 @@ def test_self_intersection_linking_of_family_members():
     assert lk_of_family(0) == 0
     assert lk_of_family("-1/2") == 2
     assert lk_of_family(1) == -4
+
+
+def test_trivial_member_general_lk_path_matches_its_shortcut():
+    # lk_of_family(0) returns 0 without computing; the general path frames
+    # FamilyMap(0)'s double circle with rotation 0 and counts its curtain
+    fam = FamilyMap(0)
+    assert _framing_null_homologous(fam, 0, DEFAULT)
+    assert _family_pushoff_link(fam, 0, DEFAULT) == lk_of_family(0) == 0
 
 
 def test_numerical_invariants_match_closed_form_state():

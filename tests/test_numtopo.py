@@ -726,22 +726,70 @@ class TestSelfIntersection:
         assert np.allclose(radius, fam.double_point_radius, atol=1e-9)
 
     @pytest.mark.parametrize("m, merged, vertices", [
-        ("1/2", True, 2851), ("1", False, 1429), ("-3/2", True, 2858)])
+        ("1/2", True, 2851), ("1", False, 1429), ("-3/2", True, 2858),
+        ("0", False, 1442)])
     def test_refined_trace_keeps_the_family_curves(self, m, merged,
                                                     vertices):
         # vertices: the counts of the sequential tracer at the default
-        # double_trace_step, per preimage component
+        # double_trace_step, per preimage component (for m = 0, of the
+        # batched tracer).  The default config also passes the seed grid's
+        # resolution check here, which would raise.
         fam = FamilyMap(m, config=CFG)
         curves = solve_self_intersection(fam, CFG)
         assert len(curves) == 1
         si = curves[0]
         assert si.merged_cover == merged
         closed = fam.preimage_components(8192)
+        matched = set()
         for comp in si.preimage_components:
             assert abs(len(comp) - vertices) <= 0.05 * vertices
-            assert min(hausdorff_distance(comp, c) for c in closed) < 1e-4
+            dists = [hausdorff_distance(comp, c) for c in closed]
+            assert min(dists) < 1e-4
+            matched.add(int(np.argmin(dists)))
+        assert matched == set(range(len(closed)))
         assert hausdorff_distance(si.image_curve,
                                   fam.self_intersection_image(4096)) < 1e-4
+
+    def test_every_seed_pair_is_solved(self, monkeypatch):
+        # 700 diagonal pairs (x, x) come before the grid's pairs: Newton
+        # leaves them on the diagonal and they are dropped, so a cap on the
+        # seed count would leave nothing to trace
+        seeds = numtopo._double_point_seeds
+
+        def junk_first(family, config):
+            x = numtopo._kink_disk_grid(family.params,
+                                        config.double_seed_rings)[:700]
+            return np.concatenate([np.hstack([x, x]),
+                                   seeds(family, config)])
+
+        monkeypatch.setattr(numtopo, "_double_point_seeds", junk_first)
+        curves = solve_self_intersection(FamilyMap("1/2", config=CFG), CFG)
+        assert len(curves) == 1 and curves[0].merged_cover
+
+    def test_seed_grid_must_resolve_the_traced_curve(self):
+        # at this radius the grid still seeds the curve, but the nearest
+        # grid points of some traced pair have images 0.017 apart
+        cfg = CFG.replace(pair_seed_radius=0.01)
+        fam = FamilyMap("1/2", config=cfg)
+        assert len(numtopo._double_point_seeds(fam, cfg)) > 0
+        with pytest.raises(ArithmeticError, match="double-curve seed grid"):
+            solve_self_intersection(fam, cfg)
+
+    def test_kink_disk_grid_is_uniform_in_the_disk(self):
+        params = FamilyMap("1/2", config=CFG).params
+        pts = numtopo._kink_disk_grid(params, 12)
+        assert pts.shape == (458 * 48, 4)
+        rad = np.hypot(pts[:, 0], pts[:, 1]) * 24 / params.a
+        assert np.allclose(rad, np.round((rad - 1) / 2) * 2 + 1)
+        assert rad.max() < 24
+        k = np.round((rad[:458] - 1) / 2).astype(int)
+        count = np.array([int(np.ceil(2 * np.pi * (i + 0.5)))
+                          for i in range(12)])
+        assert np.bincount(k).tolist() == count.tolist()
+        # odd rings are turned by half a step
+        steps = (np.arctan2(pts[:458, 1], pts[:458, 0]) * count[k]
+                 / (2 * np.pi) - 0.5 * (k % 2))
+        assert np.allclose(steps, np.round(steps))
 
     def test_no_seeds_gives_no_curves(self, monkeypatch):
         monkeypatch.setattr(numtopo, "_double_point_seeds",
