@@ -168,9 +168,12 @@ def _cmd_numtopo(args, config: Config) -> int:
     if not np.isfinite(curve).all():
         raise _CliError(2, f"{args.curve}: points must be finite")
     fam = FamilyMap(m, config=config)
-    value = numtopo.link_1cycle_3manifold(
-        curve, fam, config,
-        domain_seeds=invariants._family_domain_seeds(fam))
+    try:
+        value = numtopo.link_1cycle_3manifold(
+            curve, fam, config,
+            domain_seeds=invariants._family_domain_seeds(fam))
+    except ValueError as exc:
+        raise _CliError(2, f"{args.curve}: {exc}") from exc
     _emit(args, {"m": str(m), "link": value},
           f"link with the image 3-sphere = {value}")
     return 0

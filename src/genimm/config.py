@@ -3,8 +3,8 @@
 Every field here is read by some engine, and a config file naming a key
 that is not a field is rejected.  Some engines still hard-code constants:
 the 0.35/0.2 grid thresholds in ``degree_S3``, the 1e-6 dedupe radius of
-converged solutions, the 400-seed caps, 48-point grids and 120,000 samples
-of the fiber finders, the 0.25/0.08/0.025 chain seed radii and the
+converged solutions, the 400-seed cap and 48-point grid of the fiber
+finder, the 0.25/0.08/0.025 chain seed radii and the
 60,000-point start and 150,000-point draws of the chain seed search, the
 13-neighbour query of the double-curve seed grid, the 1e-5 vertex margin
 and the 0.06 tilt from e5 of the curtain directions of

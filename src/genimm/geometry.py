@@ -344,15 +344,6 @@ class FamilyMap:
                              "domain hypersurface")
         return self.ambient_eval(x)
 
-    def torus_jacobian(self, theta, r, phi, step=None) -> np.ndarray:
-        """d(f o torus chart), shape (..., 5, 3), central differences."""
-        if step is None:
-            step = self.config.fd_step
-        x = np.stack(np.broadcast_arrays(theta, r, phi), axis=-1)
-        return fd_jacobian(
-            lambda p: self.torus_eval(p[..., 0], p[..., 1], p[..., 2]), x,
-            step)
-
     def ambient_jacobian(self, x) -> np.ndarray:
         """df in ambient coordinates, shape (..., 5, 4), central differences."""
         return fd_jacobian(self.ambient_eval, x, self.config.fd_step)

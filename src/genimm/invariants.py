@@ -284,7 +284,7 @@ def second_column_hopf(config: Config = DEFAULT) -> int:
     """
     chart = KinkParams.from_config(config).torus_chart
     return numtopo.hopf_invariant(
-        column_n1, config, domain="param",
+        column_n1, config,
         to_sphere=lambda curve: chart(curve[:, 0], curve[:, 1], curve[:, 2]),
         values=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), jac_fn=column_n1_jacobian)
 

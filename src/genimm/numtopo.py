@@ -9,10 +9,11 @@ projection to R^3, gauss_link sums the solid angles of the Gauss map over
 all segment pairs exactly, and crossing_link counts the signed crossings of
 a generic planar projection, certified and near linear in the number of
 vertices; on the 3-sphere of rays, spherical_cone_link counts the signed
-crossings through a spherical cone.  hopf_invariant links each fiber pair
-with gauss_link and spherical_cone_link and requires them to agree;
-projected_link, which runs the framing check of invariants.lk_of_family,
-uses crossing_link.  A closed curve K in R^5 is linked with an immersed
+crossings through a spherical cone.  hopf_invariant traces the fibers of
+a map on the (theta, r, phi) box that degree_S3 also searches, and links
+each pair with gauss_link and spherical_cone_link, which must agree;
+projected_link, the framing check of invariants.lk_of_family, uses
+crossing_link.  A closed curve K in R^5 is linked with an immersed
 3-sphere by link_1cycle_3manifold, which counts the signed crossings of
 the image through the curtain {K(s) + lambda d : lambda >= 0} that K
 sweeps along a direction d near e5, drawing a new direction when a
@@ -26,8 +27,9 @@ crossings, fiber and double-curve seeds, and both stages of the one
 tracer, _trace_closed_curve, which follows closed level curves (Hopf
 fibers and double-point curves) from a residual and its Jacobian alone:
 the corrector of a coarse sequential predictor-corrector walk, then one
-batch per refinement level for the chord midpoints.  Converged solutions
-are deduplicated by _dedupe within _DEDUPE_RADIUS.
+batch per refinement level for the chord midpoints; its one cover loop,
+_trace_all, finds every fiber and double curve.  Converged solutions are
+deduplicated by _dedupe within _DEDUPE_RADIUS.
 
 Every sign rests on one orientation rule: the normal or the Jacobian rows
 first, then the tangent or frame, make a positive basis.  The one helper
@@ -407,6 +409,17 @@ def spherical_cone_link(curve_a, curve_b, config: Config = DEFAULT,
 # degree of a map from the swept 3-sphere to S^3
 
 
+def _box_axes(n):
+    """theta (= phi) and cell-centred r axes of an n-point box grid."""
+    return (np.linspace(0, 2 * np.pi, n, endpoint=False),
+            (np.arange(n) + 0.5) * np.pi / n)
+
+
+def _in_box(x):
+    """Mask of the stacked (theta, r, phi) points with r inside (0, pi)."""
+    return (x[:, 1] > 1e-7) & (x[:, 1] < np.pi - 1e-7)
+
+
 def _box_map(map_fn, jac_fn, config: Config):
     """map_fn(theta, r, phi) and its Jacobian as functions of stacked points.
 
@@ -512,15 +525,13 @@ def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCou
     fn, jac = _box_map(map_fn, jac_fn, config)
     basis = stereographic_basis(v)
 
-    n = config.degree_grid
-    theta = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    r = (np.arange(n) + 0.5) * np.pi / n
-    phi = theta.copy()
+    theta, r = _box_axes(config.degree_grid)
+    n = len(theta)
     best = np.inf
     cand = []
     for th in theta:
         T = np.full((n, n), th)
-        R, P = np.meshgrid(r, phi, indexing="ij")
+        R, P = np.meshgrid(r, theta, indexing="ij")
         vals = map_fn(T, R, P)
         dist = np.linalg.norm(vals - v, axis=-1)
         best = min(best, dist.min())
@@ -542,8 +553,7 @@ def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCou
     x, ok = _newton(np.concatenate(cand), residual, jacobian,
                     config.newton_tol, config)
     # the chart residual also vanishes at preimages of -v
-    ok &= fn(x) @ v > 0.5
-    ok &= (x[:, 1] > 1e-7) & (x[:, 1] < np.pi - 1e-7)
+    ok &= (fn(x) @ v > 0.5) & _in_box(x)
     x = x[ok]
     if len(x) == 0:
         if best > 0.2:
@@ -565,7 +575,6 @@ def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCou
 # ---------------------------------------------------------------------------
 # the corrector, the curve tracer, fiber tracing and the Hopf invariant
 _FIBER_GRID = 48          # seed grid points per axis of the parameter box
-_FIBER_SAMPLES = 120000   # random seed points on S^3 for ambient fibers
 
 
 def positive_tangent_basis(constraint, x, config: Config) -> np.ndarray:
@@ -693,21 +702,23 @@ def _trace_closed_curve(start, residual, jacobian, tol, step, config: Config,
         pts = np.insert(pts, np.concatenate(at), np.concatenate(new), axis=0)
 
 
-def _trace_fibers(points, residual, jacobian, config: Config, shifts):
+def _trace_all(points, residual, jacobian, tol, step, config: Config, shifts,
+               swap=None):
     """Every closed level curve through the points, each traced once.
 
-    The points lie on the level set: the finders refine their seeds in one
-    _newton batch first."""
+    The points lie on the level set: the callers refine their seeds in one
+    _newton batch first.  The first point not yet covered is traced by
+    _trace_closed_curve; then every point within 3 step of the curve moved
+    by a shift, or given swap, of its coordinate-swapped copy, is covered."""
     curves = []
-    trees = []
-    for x in points:
-        if any(tree.query(x)[0] < 3 * config.trace_step for tree in trees):
-            continue
-        curve = _trace_closed_curve(x, residual, jacobian,
-                                    config.trace_corrector_tol,
-                                    config.trace_step, config, shifts)[0]
+    covered = np.zeros(len(points), dtype=bool)
+    while not covered.all():
+        curve = _trace_closed_curve(points[np.argmin(covered)], residual,
+                                    jacobian, tol, step, config, shifts)[0]
         curves.append(curve)
-        trees.append(cKDTree(np.concatenate([curve + s for s in shifts])))
+        copies = [curve] if swap is None else [curve, curve[:, swap]]
+        tree = cKDTree(np.concatenate([c + s for c in copies for s in shifts]))
+        covered |= tree.query(points)[0] < 3 * step
     return curves
 
 
@@ -722,8 +733,7 @@ def _fibers_param(map_fn, v, config: Config, jac_fn=None):
     def jacobian(x, _rows):
         return W.T @ jac(x)
 
-    theta = np.linspace(0, 2 * np.pi, _FIBER_GRID, endpoint=False)
-    r = (np.arange(_FIBER_GRID) + 0.5) * np.pi / _FIBER_GRID
+    theta, r = _box_axes(_FIBER_GRID)
     T, R, P = np.meshgrid(theta, r, theta, indexing="ij")
     vals = map_fn(T, R, P)
     mask = np.linalg.norm(vals - v, axis=-1) < 0.3
@@ -733,53 +743,29 @@ def _fibers_param(map_fn, v, config: Config, jac_fn=None):
         seeds = seeds[rng.choice(len(seeds), 400, replace=False)]
     x, ok = _newton(seeds, residual, jacobian, config.trace_corrector_tol,
                     config)
-    # Newton may leave the box: drop r outside (0, pi), as degree_S3 does,
-    # and wrap the angles, so the one-period shifts below match every copy
-    x = x[ok & (x[:, 1] > 1e-7) & (x[:, 1] < np.pi - 1e-7)]
+    # wrap the angles, so the one-period shifts below match every copy
+    x = x[ok & _in_box(x)]
     x[:, ::2] %= 2 * np.pi
     shifts = [np.array([2 * np.pi * i, 0.0, 2 * np.pi * j])
               for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    return _trace_fibers(x, residual, jacobian, config, shifts)
+    return _trace_all(x, residual, jacobian, config.trace_corrector_tol,
+                      config.trace_step, config, shifts)
 
 
-def _fibers_ambient(field, constraint, v, config: Config):
-    """Fiber components of an S^2-valued field on the hypersurface {G = 0}."""
-    W = oriented_complement(v)
-
-    def level(x):
-        return np.concatenate([(field(x) - v) @ W, constraint(x)[..., None]],
-                              axis=-1)
-
-    def residual(x, _rows):
-        return level(x)
-
-    def jacobian(x, _rows):
-        return fd_jacobian(level, x, config.fd_step)
-
-    rng = np.random.default_rng(config.seed)
-    pts = _unit(rng.normal(size=(_FIBER_SAMPLES, 4)))
-    vals = field(pts)
-    seeds = pts[np.linalg.norm(vals - v, axis=-1) < 0.25]
-    if len(seeds) > 400:
-        seeds = seeds[rng.choice(len(seeds), 400, replace=False)]
-    x, ok = _newton(seeds, residual, jacobian, config.trace_corrector_tol,
-                    config)
-    return _trace_fibers(x[ok], residual, jacobian, config, [np.zeros(4)])
-
-
-def hopf_invariant(map_fn, config: Config = DEFAULT, *, domain="param",
-                   constraint=None, to_sphere=None, values=None, jac_fn=None):
+def hopf_invariant(map_fn, config: Config = DEFAULT, *, to_sphere,
+                   values=None, jac_fn=None):
     """Hopf invariant of a map to S^2: linking of two regular fibers.
 
-    domain="param" expects map_fn(theta, r, phi) on the periodic box and a
-    to_sphere callable carrying parameter points to rays in R^4.
-    domain="ambient" expects map_fn(x) for x in R^4 near {constraint = 0}.
-    Each fiber is traced, oriented so that the differential carries a
-    positive complement onto the chosen tangent basis at the value, pushed
-    onto the unit 3-sphere, and linked with gauss_link and
-    spherical_cone_link; the two must agree.  A map that misses a value is
-    null homotopic, giving 0, so the fibers over the second value are not
-    traced when the first has none.
+    map_fn(theta, r, phi) maps the box of degree_S3 to the unit 2-sphere,
+    with jac_fn its Jacobian (central differences without it), and
+    to_sphere carries an (N, 3) polyline of box points to rays in R^4.
+    The fibers are found in the open box, so the edges r = 0 and r = pi
+    must stay clear of the fibers over the values.  Each fiber is traced,
+    oriented so that the differential carries a positive complement onto
+    the chosen tangent basis at the value, pushed onto the unit 3-sphere,
+    and linked with gauss_link and spherical_cone_link; the two must agree.
+    A map that misses a value is null homotopic, giving 0, so the fibers
+    over the second value are not traced when the first has none.
 
     Sign normalization: the quaternionic rotation map x -> x i conj(x) has
     Hopf invariant +1.  This is the convention the closed-form frame columns
@@ -790,31 +776,16 @@ def hopf_invariant(map_fn, config: Config = DEFAULT, *, domain="param",
         rng = np.random.default_rng(config.seed + 1)
         values = _unit(rng.normal(size=(2, 3)))
     v1, v2 = (np.asarray(v, dtype=float) for v in values)
-    if domain == "param":
-        if to_sphere is None:
-            raise ValueError("param domain requires to_sphere")
 
-        def fibers(v):
-            return [to_sphere(c)
-                    for c in _fibers_param(map_fn, v, config, jac_fn)]
-    elif domain == "ambient":
-        if constraint is None:
-            raise ValueError("ambient domain requires constraint")
-
-        def fibers(v):
-            return _fibers_ambient(map_fn, constraint, v, config)
-    else:
-        raise ValueError("domain must be 'param' or 'ambient'")
+    def fibers(v):
+        return [_unit(to_sphere(c))
+                for c in _fibers_param(map_fn, v, config, jac_fn)]
 
     rays1 = fibers(v1)
-    if not rays1:
-        return 0
-    rays2 = fibers(v2)
+    rays2 = fibers(v2) if rays1 else []
     if not rays2:
         return 0
 
-    rays1 = [_unit(c) for c in rays1]
-    rays2 = [_unit(c) for c in rays2]
     pole = choose_pole(rays1 + rays2, config)
     total = 0
     for ca in rays1:
@@ -866,10 +837,12 @@ def _kink_disk_grid(params, n):
 def _double_point_seeds(family, config: Config):
     """Seed pairs (x, y), shape (N, 8), on the grid _kink_disk_grid of
     config.double_seed_rings rings.  Each grid image is paired with its 12
-    nearest images within pair_seed_radius, which bounds the pairs per
-    point.  Pairs more than min_preimage_separation apart are kept, each
-    unordered pair once (i < j), in order of image gap.  Nothing is
-    capped."""
+    nearest images within pair_seed_radius; at the default config the
+    radius drops none of them, so the neighbour count and
+    min_preimage_separation pick the candidates, and the radius decides
+    the resolution check of solve_self_intersection.  Pairs more than
+    min_preimage_separation apart are kept, each unordered pair once
+    (i < j), in order of image gap.  Nothing is capped."""
     pts = _kink_disk_grid(family.params, config.double_seed_rings)
     img = family.ambient_eval(pts)
     # neighbours past the radius come back as (inf, len(img)); the close
@@ -892,13 +865,13 @@ def solve_self_intersection(family, config: Config = DEFAULT):
 
     Solves the 7 x 8 system f(x) = f(y), G(x) = G(y) = 0 on pairs of
     points of the domain hypersurface {G = 0}: every _double_point_seeds
-    pair goes through _newton in one batch.  Until no solution whose
-    points lie min_preimage_separation apart is left, the first one is
-    traced in R^8 by _trace_closed_curve, at double_trace_step, and the
-    solutions in its tube, in either order, are dropped.  The seed grid
-    must resolve each traced curve: the nearest grid points of each vertex
-    pair have images closer than pair_seed_radius, or ArithmeticError
-    names the stage.  Returns one SelfIntersection per double curve.
+    pair goes through _newton in one batch.  _trace_all traces the
+    solutions whose points lie min_preimage_separation apart in R^8, at
+    double_trace_step, each curve covering the solutions in its tube in
+    either order.  The seed grid must resolve each traced curve: the
+    nearest grid points of each vertex pair have images closer than
+    pair_seed_radius, or ArithmeticError names the stage.  Returns one
+    SelfIntersection per double curve, in trace order.
     """
     def constraint(x):
         return domain_constraint(x, family.params)
@@ -925,29 +898,17 @@ def solve_self_intersection(family, config: Config = DEFAULT):
                           jacobian, config.newton_tol, config)
     ok &= (np.linalg.norm(refined[:, :4] - refined[:, 4:], axis=1)
            >= config.min_preimage_separation)
-    solved = refined[ok]
     grid = _kink_disk_grid(family.params, config.double_seed_rings)
-    results = []
-    consumed = np.zeros(len(solved), dtype=bool)
     swap = [4, 5, 6, 7, 0, 1, 2, 3]
     step = config.double_trace_step
-    for idx in range(len(solved)):
-        if consumed[idx]:
-            continue
-        z0 = solved[idx]
-        track = _trace_closed_curve(z0, residual, jacobian, config.newton_tol,
-                                    step, config, [np.zeros(8)])[0]
+    results = []
+    for track in _trace_all(refined[ok], residual, jacobian,
+                            config.newton_tol, step, config, [np.zeros(8)],
+                            swap):
         # the track passes the swapped start exactly when the two branches
         # over the double curve join into one preimage circle
-        merged = bool(np.any(np.linalg.norm(track[1:] - z0[swap], axis=1)
-                             < 1.5 * step))
-        x_track, y_track = track[:, :4], track[:, 4:]
-        results.append(SelfIntersection(
-            preimage_components=(x_track,) if merged else (x_track, y_track),
-            image_curve=family.ambient_eval(x_track),
-            merged_cover=merged))
-        both = np.concatenate([track, track[:, swap]])
-        consumed |= cKDTree(both).query(solved)[0] < 3 * step
+        merged = bool(np.any(np.linalg.norm(track[1:] - track[0, swap],
+                                            axis=1) < 1.5 * step))
         near = grid[cKDTree(grid).query(track.reshape(-1, 4))[1]]
         img = family.ambient_eval(near).reshape(-1, 2, 5)
         gap = np.linalg.norm(img[:, 0] - img[:, 1], axis=1).max()
@@ -956,6 +917,11 @@ def solve_self_intersection(family, config: Config = DEFAULT):
                 f"double-curve seed grid too coarse: nearest grid points of "
                 f"a traced pair have image gap {gap:.3g}, not below "
                 f"pair_seed_radius {config.pair_seed_radius:g}")
+        x_track, y_track = track[:, :4], track[:, 4:]
+        results.append(SelfIntersection(
+            preimage_components=(x_track,) if merged else (x_track, y_track),
+            image_curve=family.ambient_eval(x_track),
+            merged_cover=merged))
     return results
 
 
@@ -1049,7 +1015,8 @@ def _curtain_crossings(verts, d, seg, manifold, constraint, seeds, img,
     _newton to config.newton_tol; converged rows with lambda > 0 and u in
     (0, 1) are deduplicated and signed.  A crossing within 1e-5 in u of a
     vertex or failing the transversality threshold raises _DegenerateChain
-    so the caller can draw a new direction.
+    so the caller can draw a new direction.  A converged row on the curve
+    itself (|lambda| < config.min_image_separation) raises ValueError.
     """
     edge = 1e-5
     A = verts[seg]
@@ -1077,6 +1044,10 @@ def _curtain_crossings(verts, d, seg, manifold, constraint, seeds, img,
         return J
 
     z, conv = _newton(z, residual, jacobian, config.newton_tol, config)
+    # a solution on the segment (lambda ~ 0) is an image point on the curve
+    if np.any(conv & (np.abs(z[:, 5]) < config.min_image_separation)
+              & (z[:, 4] > -edge) & (z[:, 4] < 1 + edge)):
+        raise ValueError("curve passes too close to the image to link")
     ahead = conv & (z[:, 5] > 0)
     z, E = z[ahead], E[ahead]
     u = z[:, 4]

@@ -21,7 +21,7 @@ from genimm import qform, strata
 from genimm.config import Config
 from genimm.geometry import (FamilyMap, HalfInteger, KinkParams,
                              classical_hopf, column_m1, column_m1_jacobian,
-                             column_n1)
+                             column_n1, quat_mul)
 from genimm.invariants import (Component5, ImmersionState5, J, L, St,
                                _framing_null_homologous, connected_sum5,
                                embedding_test, family_state, lambda_,
@@ -95,17 +95,28 @@ def test_hopf_invariant_of_second_column():
     def to_sphere(curve):
         return params.torus_chart(curve[:, 0], curve[:, 1], curve[:, 2])
 
-    assert hopf_invariant(column_n1, CFG, domain="param",
-                          to_sphere=to_sphere) == -1
+    assert hopf_invariant(column_n1, CFG, to_sphere=to_sphere) == -1
     # classical quaternion-rotation oracle: +1, and -1 after composing
-    # with a reflection of the domain sphere
-    sphere = lambda x: (x * x).sum(axis=-1) - 1.0
-    assert hopf_invariant(classical_hopf, CFG, domain="ambient",
-                          constraint=sphere) == 1
+    # with a reflection of the domain sphere.  The box carries the unit
+    # sphere by Hopf coordinates turned by (1 + k)/sqrt(2), whose edge
+    # circles r = 0 and r = pi are fibers over +-(0, 1, 0)
+    turn = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+
+    def chart(theta, r, phi):
+        c, s = np.cos(r / 2), np.sin(r / 2)
+        return quat_mul(turn, np.stack([c * np.cos(theta), c * np.sin(theta),
+                                        s * np.cos(phi), s * np.sin(phi)],
+                                       axis=-1))
+
+    def chart_to_sphere(curve):
+        return chart(curve[:, 0], curve[:, 1], curve[:, 2])
+
     flip = np.array([1.0, 1.0, 1.0, -1.0])
-    reflected = lambda x: classical_hopf(np.asarray(x) * flip)
-    assert hopf_invariant(reflected, CFG, domain="ambient",
-                          constraint=sphere) == -1
+    classical = lambda theta, r, phi: classical_hopf(chart(theta, r, phi))
+    reflected = lambda theta, r, phi: classical_hopf(chart(theta, r, phi)
+                                                     * flip)
+    assert hopf_invariant(classical, CFG, to_sphere=chart_to_sphere) == 1
+    assert hopf_invariant(reflected, CFG, to_sphere=chart_to_sphere) == -1
 
 
 def test_linking_golden_values():
@@ -283,8 +294,8 @@ def test_numerics_cross_validation():
 
     for values in (((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
                    ((0.2, 0.5, np.sqrt(0.71)), (-0.3, 0.4, -np.sqrt(0.75)))):
-        assert hopf_invariant(column_n1, CFG, domain="param",
-                              to_sphere=to_sphere, values=values) == -1
+        assert hopf_invariant(column_n1, CFG, to_sphere=to_sphere,
+                              values=values) == -1
     # the five-space crossing count is blind to the curtain direction and
     # the seed draw, both of which the config seed moves
     assert lk_of_family(HalfInteger(1), CFG) == -2

@@ -134,6 +134,17 @@ def test_numtopo_hopf(capsys):
     assert json.loads(out)["hopf"] == -1
 
 
+def test_numtopo_hopf_exits_1_when_the_linking_engines_disagree(
+        capsys, monkeypatch):
+    real = numtopo.spherical_cone_link
+    monkeypatch.setattr(numtopo, "spherical_cone_link",
+                        lambda *args, **kwargs: real(*args, **kwargs) + 1)
+    code, out, err = run(capsys, "numtopo", "hopf", "--m", "1/2")
+    assert code == 1
+    assert out == ""
+    assert "check failed" in err and "linking engines disagree" in err
+
+
 _ROW = "[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]"
 
 
@@ -170,6 +181,21 @@ def test_numtopo_link_counts_a_meridian(capsys, tmp_path):
                        "--curve", str(path))
     assert code == 0
     assert out.startswith("link with the image 3-sphere = -1\n")
+
+
+def test_numtopo_link_rejects_a_curve_through_the_image(capsys, tmp_path):
+    # vertex 0 is the image point p of the round part
+    p = np.array([0.9, 0.0, np.sqrt(0.19), 0.0, 0.0])
+    t = np.linspace(0, 2 * np.pi, 40, endpoint=False)[:, None]
+    curve = p + 0.05 * ((np.cos(t) - 1) * np.eye(5)[1]
+                        + np.sin(t) * np.eye(5)[4])
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"schema": 1, "points": curve.tolist()}))
+    code, out, err = run(capsys, "numtopo", "link", "--m", "1/2",
+                         "--curve", str(path))
+    assert code == 2
+    assert out == ""
+    assert "too close to the image" in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from genimm import qform
+from genimm import numtopo, qform
 from genimm.config import DEFAULT
 from genimm.geometry import HalfInteger
 from genimm.invariants import (Component5, EmbeddingTest, ImmersionState5,
@@ -274,6 +274,14 @@ def test_smale_invariant_of_family_members():
     # a passed-in v is still checked against its closed form
     with pytest.raises(ArithmeticError, match=r"\(u, v\) = \(2, 1\)"):
         smale_of_family(0, hopf=1)
+
+
+def test_second_column_hopf_checks_its_two_linking_engines(monkeypatch):
+    real = numtopo.spherical_cone_link
+    monkeypatch.setattr(numtopo, "spherical_cone_link",
+                        lambda *args, **kwargs: real(*args, **kwargs) + 1)
+    with pytest.raises(ArithmeticError, match="linking engines disagree"):
+        second_column_hopf()
 
 
 def test_self_intersection_framing_admissibility():

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 from genimm.config import Config
 from genimm.geometry import (FamilyMap, HalfInteger, classical_hopf,
                              column_m1, column_m1_jacobian, column_n1,
-                             domain_constraint)
+                             domain_constraint, quat_mul)
 from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             crossing_link, degree_S3, gauss_link,
                             gauss_link_raw,
@@ -607,6 +607,28 @@ def northish(theta, r, phi):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+# Hopf coordinates of the unit 3-sphere on the (theta, r, phi) box, turned
+# by the unit quaternion (1 + k)/sqrt(2) so that the edge circles r = 0 and
+# r = pi are the classical_hopf fibers over +-(0, 1, 0), clear of the values
+# linked below
+_TURN = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+
+
+def hopf_chart(theta, r, phi):
+    c, s = np.cos(r / 2), np.sin(r / 2)
+    return quat_mul(_TURN, np.stack([c * np.cos(theta), c * np.sin(theta),
+                                     s * np.cos(phi), s * np.sin(phi)],
+                                    axis=-1))
+
+
+def chart_to_sphere(curve):
+    return hopf_chart(curve[:, 0], curve[:, 1], curve[:, 2])
+
+
+def classical_on_box(theta, r, phi):
+    return classical_hopf(hopf_chart(theta, r, phi))
+
+
 class TestHopf:
     def test_classical_fibration_oracle(self):
         # exact fibers of q -> q i conj(q): over (1,0,0) the unit complex
@@ -619,14 +641,18 @@ class TestHopf:
         assert np.allclose(classical_hopf(f1), [1.0, 0.0, 0.0], atol=1e-12)
         assert np.allclose(classical_hopf(f2), [-1.0, 0.0, 0.0], atol=1e-12)
         assert projected_link(f1, f2, CFG) == -1
-        h = hopf_invariant(classical_hopf, CFG, domain="ambient",
-                           constraint=lambda x: (x * x).sum(axis=-1) - 1.0,
+        # the chart's edges are the fibers over +-(0, 1, 0), so both fibers
+        # lie inside the box
+        angle = np.linspace(0, 2 * np.pi, 7)
+        for r, value in ((0.0, [0.0, 1.0, 0.0]), (np.pi, [0.0, -1.0, 0.0])):
+            edge = classical_on_box(angle, np.full(7, r), angle[::-1])
+            assert np.allclose(edge, value, atol=1e-12)
+        h = hopf_invariant(classical_on_box, CFG, to_sphere=chart_to_sphere,
                            values=((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)))
         assert h == 1
 
     def test_classical_fibration_generic_values(self):
-        h = hopf_invariant(classical_hopf, CFG, domain="ambient",
-                           constraint=lambda x: (x * x).sum(axis=-1) - 1.0)
+        h = hopf_invariant(classical_on_box, CFG, to_sphere=chart_to_sphere)
         assert h == 1
 
     def test_second_frame_column_hopf(self):
@@ -642,8 +668,8 @@ class TestHopf:
         pairs = [((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
                  ((0.2, 0.5, np.sqrt(0.71)), (-0.3, 0.4, -np.sqrt(0.75)))]
         for values in pairs:
-            assert hopf_invariant(n1, CFG, domain="param",
-                                  to_sphere=to_sphere, values=values) == -1
+            assert hopf_invariant(n1, CFG, to_sphere=to_sphere,
+                                  values=values) == -1
 
     def test_missed_value_is_null_homotopic(self, monkeypatch):
         fam = FamilyMap(HalfInteger(1))
@@ -660,7 +686,7 @@ class TestHopf:
             return real(map_fn, v, config, jac_fn)
 
         monkeypatch.setattr(numtopo, "_fibers_param", fibers)
-        h = hopf_invariant(northish, CFG, domain="param", to_sphere=to_sphere,
+        h = hopf_invariant(northish, CFG, to_sphere=to_sphere,
                            values=((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)))
         assert h == 0
         # no fiber over the first value: the second is never traced
@@ -679,13 +705,10 @@ class TestHopf:
 
     def test_returned_fibers_are_closed_unit_rays(self):
         # the fibers hopf_invariant links, normalized as it normalizes them
-        def sphere(x):
-            return (x * x).sum(axis=-1) - 1.0
-
-        fibers = [numtopo._unit(c)
+        fibers = [numtopo._unit(chart_to_sphere(c))
                   for v in ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
-                  for c in numtopo._fibers_ambient(classical_hopf, sphere,
-                                                   np.array(v), CFG)]
+                  for c in numtopo._fibers_param(classical_on_box,
+                                                 np.array(v), CFG)]
         assert len(fibers) == 2
         for fib in fibers:
             assert np.allclose(np.linalg.norm(fib, axis=1), 1.0, atol=1e-8)
@@ -1038,6 +1061,15 @@ class TestCurtainLink:
         with pytest.raises(NonRegularValueError):
             link_1cycle_3manifold(self.meridian(), self.fam, CFG,
                                   direction=-self.p)
+
+    def test_curve_through_the_image_is_rejected(self):
+        # vertex 0 is p itself: the curtain solve lands on the curve, at
+        # lambda ~ 0, where no sign can be read
+        t = np.linspace(0, 2 * np.pi, 40, endpoint=False)[:, None]
+        curve = self.p + 0.05 * ((np.cos(t) - 1) * np.eye(5)[1]
+                                 + np.sin(t) * self.e5)
+        with pytest.raises(ValueError, match="too close to the image"):
+            link_1cycle_3manifold(curve, self.fam, CFG)
 
 
 class TestSignedCount:
