@@ -274,6 +274,12 @@ def _strata_invariant(args):
 
 
 def _strata_paths(args, config: Config):
+    if args.paths < 1:
+        raise _CliError(2, "--paths must be at least 1")
+    min_events = 2 if args.action == "verify" else 1
+    if args.events < min_events:
+        raise _CliError(2, f"strata {args.action} needs --events of at "
+                           f"least {min_events}")
     needs4 = args.invariant == "mu"
     space = args.space if args.space is not None else (4 if needs4 else 5)
     if needs4 and space != 4:
@@ -303,7 +309,7 @@ def _report_violations(args, report, label: str, check: str) -> int:
     if not report.ok:
         human += "\nfirst failing path: " + report.violations[0].path.to_json()
     _emit(args, payload, human)
-    return 0 if report.ok else 1
+    return 0 if report.ok and report.checked else 1
 
 
 def _cmd_strata(args, config: Config) -> int:

@@ -38,7 +38,7 @@ SPIN_NONTRIVIAL = 2
 SPIN_TRIVIAL = 0
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Component5:
     """One double-point circle of a generic immersion S^3 -> R^5.
 
@@ -60,7 +60,7 @@ class Component5:
                 f"preimage_connected={self.preimage_connected}")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ImmersionState5:
     """Discrete state of a generic immersion S^3 -> R^5.
 

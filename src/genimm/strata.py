@@ -48,7 +48,7 @@ class InapplicableEventError(ValueError):
     """The event's preconditions fail at the given state."""
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class StratumEvent:
     """One transversal wall crossing.
 
@@ -114,6 +114,11 @@ def _check_index(i: int, n: int) -> int:
     return i
 
 
+# the double circle of each twist class; _apply_5 shares these records
+_COMPONENTS5 = tuple(Component5(t % 2 == 1, t) for t in range(4))
+_TRIVIAL5 = _COMPONENTS5[SPIN_TRIVIAL]
+
+
 def _apply_5(state: ImmersionState5, event: StratumEvent) -> ImmersionState5:
     comps = list(state.components)
     if event.kind == TRIPLE5:
@@ -126,10 +131,10 @@ def _apply_5(state: ImmersionState5, event: StratumEvent) -> ImmersionState5:
         at = event.operand[0] if event.operand else len(comps)
         if not 0 <= at <= len(comps):
             raise InapplicableEventError("birth position out of range")
-        comps.insert(at, Component5(False, SPIN_TRIVIAL))
+        comps.insert(at, _TRIVIAL5)
     elif event.detail == "death":
         i = _check_index(event.operand[0], len(comps))
-        if comps[i] != Component5(False, SPIN_TRIVIAL):
+        if comps[i] != _TRIVIAL5:
             raise InapplicableEventError(
                 "only a trivial double circle can die")
         del comps[i]
@@ -139,18 +144,17 @@ def _apply_5(state: ImmersionState5, event: StratumEvent) -> ImmersionState5:
             raise InapplicableEventError("merge needs two distinct circles")
         _check_index(i, len(comps))
         _check_index(j, len(comps))
-        t = (comps[i].twist_class + comps[j].twist_class) % 4
         # merge j into i so a later split can restore both positions
-        comps[i] = Component5(t % 2 == 1, t)
+        comps[i] = _COMPONENTS5[(comps[i].twist_class
+                                 + comps[j].twist_class) % 4]
         del comps[j]
     elif event.detail == "split":
         i, at, handed = event.operand
         _check_index(i, len(comps))
         if not 0 <= at <= len(comps):
             raise InapplicableEventError("split position out of range")
-        t = (comps[i].twist_class - handed) % 4
-        comps[i] = Component5(t % 2 == 1, t)
-        comps.insert(at, Component5(handed % 2 == 1, handed % 4))
+        comps[i] = _COMPONENTS5[(comps[i].twist_class - handed) % 4]
+        comps.insert(at, _COMPONENTS5[handed % 4])
     return ImmersionState5(state.omega, state.lk, tuple(comps))
 
 
@@ -298,30 +302,41 @@ def reverse(event: StratumEvent, state: Optional[State] = None) -> StratumEvent:
 # paths
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Path:
-    """An initial state and the ordered walls a family crosses."""
+    """An initial state and the ordered walls a family crosses.
+
+    The states along the path are applied once, when the path is built,
+    and kept.
+    """
 
     initial: State
     events: tuple[StratumEvent, ...]
+    _states: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        list(self.states())  # validate applicability up front
+        events = tuple(self.events)
+        states = [self.initial]
+        for e in events:  # validates applicability up front
+            states.append(apply(states[-1], e))
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "_states", tuple(states))
+
+    @classmethod
+    def _applied(cls, initial: State, events: tuple, states: tuple) -> "Path":
+        """A path whose states the caller has already applied."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "initial", initial)
+        object.__setattr__(path, "events", events)
+        object.__setattr__(path, "_states", states)
+        return path
 
     def states(self) -> Iterator[State]:
-        s = self.initial
-        yield s
-        for e in self.events:
-            s = apply(s, e)
-            yield s
+        return iter(self._states)
 
     @property
     def final(self) -> State:
-        s = self.initial
-        for e in self.events:
-            s = apply(s, e)
-        return s
+        return self._states[-1]
 
     def to_json(self) -> str:
         if isinstance(self.initial, ImmersionState5):
@@ -336,76 +351,85 @@ class Path:
                                       for e in self.events]})
 
 
-def _candidate_events_5(state: ImmersionState5, rng) -> list[StratumEvent]:
+# The candidate walls at a state, as (kind, sign, operand, detail) fields in
+# the order random_paths draws them; only the chosen one becomes an event.
+
+
+def _candidate_events_5(state: ImmersionState5, rng) -> list[tuple]:
     comps = state.components
     kind = (ELLIPTIC_TANGENCY, HYPERBOLIC_TANGENCY)[rng.integers(0, 2)]
-    out = [StratumEvent(kind, 1, (int(rng.integers(0, len(comps) + 1)),),
-                        "birth")]
-    trivial = [i for i, c in enumerate(comps)
-               if c == Component5(False, SPIN_TRIVIAL)]
+    out = [(kind, 1, (int(rng.integers(0, len(comps) + 1)),), "birth")]
+    trivial = [i for i, c in enumerate(comps) if c == _TRIVIAL5]
     if trivial:
-        out.append(StratumEvent(kind, -1,
-                                (trivial[rng.integers(0, len(trivial))],),
-                                "death"))
+        out.append((kind, -1, (trivial[rng.integers(0, len(trivial))],),
+                    "death"))
     if len(comps) >= 2:
         i, j = rng.choice(len(comps), size=2, replace=False)
-        out.append(StratumEvent(kind, -1, (int(i), int(j)), "merge"))
+        out.append((kind, -1, (int(i), int(j)), "merge"))
     if comps:
         i = int(rng.integers(0, len(comps)))
         handed = int(rng.integers(0, 4))
         at = int(rng.integers(0, len(comps) + 1))
-        out.append(StratumEvent(kind, 1, (i, at, handed), "split"))
-        out.append(StratumEvent(TRIPLE5, int(rng.choice((1, -1))), ()))
+        out.append((kind, 1, (i, at, handed), "split"))
+        out.append((TRIPLE5, int(rng.choice((1, -1))), (), None))
     return out
 
 
-def _candidate_events_4(state: ImmersionState4, rng) -> list[StratumEvent]:
+def _candidate_events_4(state: ImmersionState4, rng) -> list[tuple]:
     comps = state.surface.components
-    out = [StratumEvent(TANGENCY4, 1,
-                        (int(rng.integers(0, len(comps) + 1)),),
-                        "sphere-birth"),
-           StratumEvent(TRIPLE4, 1, ()),
-           StratumEvent(QUADRUPLE4, 1, ()),
-           StratumEvent(QUINTUPLE4, int(rng.choice((1, -1))), ())]
+    out = [(TANGENCY4, 1, (int(rng.integers(0, len(comps) + 1)),),
+            "sphere-birth"),
+           (TRIPLE4, 1, (), None),
+           (QUADRUPLE4, 1, (), None),
+           (QUINTUPLE4, int(rng.choice((1, -1))), (), None)]
     spheres = [i for i, c in enumerate(comps) if c == surfaces.SPHERE]
     if spheres:
-        out.append(StratumEvent(TANGENCY4, -1,
-                                (spheres[rng.integers(0, len(spheres))],),
-                                "sphere-death"))
+        out.append((TANGENCY4, -1, (spheres[rng.integers(0, len(spheres))],),
+                    "sphere-death"))
     if comps:
         i = int(rng.integers(0, len(comps)))
-        out.append(StratumEvent(TANGENCY4, -1, (i,), "handle-attach"))
+        out.append((TANGENCY4, -1, (i,), "handle-attach"))
     handled = [i for i, c in enumerate(comps)
                if c.genus_or_crosscaps >= (1 if c.orientable else 3)]
     if handled:
-        out.append(StratumEvent(
-            TANGENCY4, 1, (handled[rng.integers(0, len(handled))],),
-            "handle-remove"))
+        out.append((TANGENCY4, 1, (handled[rng.integers(0, len(handled))],),
+                    "handle-remove"))
     if state.T >= 1:
-        out.append(StratumEvent(TRIPLE4, -1, ()))
+        out.append((TRIPLE4, -1, (), None))
     if state.Q >= 2:
-        out.append(StratumEvent(QUADRUPLE4, -1, ()))
+        out.append((QUADRUPLE4, -1, (), None))
     return out
 
 
 def random_paths(initial: State, events_per_path: int, n_paths: int,
                  seed: int = 0) -> Iterator[Path]:
-    """Random event paths, every event applicable where it occurs."""
+    """Random event paths, every event applicable where it occurs.
+
+    Equal events and equal states drawn by one call are one shared record.
+    A negative count raises ValueError.
+    """
+    if events_per_path < 0 or n_paths < 0:
+        raise ValueError("events_per_path and n_paths must be non-negative")
     rng = np.random.default_rng(seed)
-    five = isinstance(initial, ImmersionState5)
+    candidates = (_candidate_events_5 if isinstance(initial, ImmersionState5)
+                  else _candidate_events_4)
+    events_seen: dict[tuple, StratumEvent] = {}
+    states_seen: dict[State, State] = {initial: initial}
     for _ in range(n_paths):
-        state = initial
-        events = []
+        events, states = [], [initial]
         while len(events) < events_per_path:
-            cands = (_candidate_events_5(state, rng) if five
-                     else _candidate_events_4(state, rng))
-            event = cands[rng.integers(0, len(cands))]
+            cands = candidates(states[-1], rng)
+            fields = cands[rng.integers(0, len(cands))]
+            event = events_seen.get(fields)
+            if event is None:
+                event = events_seen[fields] = StratumEvent(*fields)
             try:
-                state = apply(state, event)
+                state = apply(states[-1], event)
             except InapplicableEventError:
                 continue
             events.append(event)
-        yield Path(initial, tuple(events))
+            states.append(states_seen.setdefault(state, state))
+        yield Path._applied(initial, tuple(events), tuple(states))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +453,10 @@ class CalculusReport:
         return not self.violations
 
     def summary(self) -> str:
-        word = "ok" if self.ok else f"{len(self.violations)} violations"
+        if not self.ok:
+            word = f"{len(self.violations)} violations"
+        else:
+            word = "ok" if self.checked else "nothing was checked"
         return (f"{self.checked} configurations checked "
                 f"({self.skipped} skipped): {word}")
 
@@ -459,26 +486,24 @@ def verify_first_order(invariant: Callable[[State], int],
         if len(path.events) < 2:
             skipped += 1
             continue
-        s0 = path.initial
-        e1, e2 = path.events[0], path.events[1]
-        s1 = apply(s0, e1)
-        s12 = apply(s1, e2)
+        s0, s1, s12 = path._states[:3]
+        e1, e2 = path.events[:2]
         try:
             s2 = apply(s0, e2)
         except InapplicableEventError:
             skipped += 1
             continue
         checked += 1
-        second = ((invariant(s12) - invariant(s1))
-                  - (invariant(s2) - invariant(s0)))
+        v0, v1 = invariant(s0), invariant(s1)
+        second = (invariant(s12) - v1) - (invariant(s2) - v0)
         if second != 0:
             violations.append(Violation(
                 path, f"second difference {second} across "
                       f"{e1.kind}/{e2.kind}"))
         twin = _swap_kind(e1)
         if twin is not e1:
-            jump = invariant(s1) - invariant(s0)
-            twin_jump = invariant(apply(s0, twin)) - invariant(s0)
+            jump = v1 - v0
+            twin_jump = invariant(apply(s0, twin)) - v0
             if jump != twin_jump:
                 violations.append(Violation(
                     path, f"tangency branches jump {jump} vs {twin_jump}"))

@@ -316,6 +316,41 @@ def test_strata_space_mismatch_rejected(capsys):
     assert "4" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--events", "1"),
+    ("verify", "--events", "-2"),
+    ("verify", "--paths", "0"),
+    ("verify", "--paths", "-5"),
+    ("invariance", "--events", "0"),
+    ("invariance", "--events", "-1"),
+    ("invariance", "--paths", "0"),
+])
+def test_strata_rejects_counts_that_check_nothing(capsys, argv):
+    code, out, err = run(capsys, "strata", *argv)
+    assert code == 2
+    assert out == ""
+    assert "--events" in err or "--paths" in err
+
+
+def test_strata_invariance_accepts_one_event(capsys):
+    code, out, _ = run(capsys, "strata", "invariance", "--invariant",
+                       "lambda", "--events", "1", "--paths", "3")
+    assert code == 0
+    assert "3 configurations checked" in out
+
+
+def test_strata_report_that_checked_nothing_fails(capsys):
+    # seed 1 draws one path whose second wall is inapplicable at its start
+    code, out, _ = run(capsys, "strata", "verify", "--paths", "1",
+                       "--seed", "1")
+    assert code == 1
+    assert "0 configurations checked (1 skipped): nothing was checked" in out
+    code, out, _ = run(capsys, "strata", "verify", "--paths", "1",
+                       "--seed", "1", "--json")
+    assert code == 1
+    assert json.loads(out)["checked"] == 0
+
+
 # ---------------------------------------------------------------------------
 # reports
 

@@ -1,12 +1,15 @@
 """The wall-crossing event calculus and its first-order verification."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from genimm import strata, surfaces
 from genimm.invariants import (Component5, ImmersionState5, J, L,
                                LEFT_TWIST, RIGHT_TWIST, SPIN_NONTRIVIAL,
-                               SPIN_TRIVIAL, St, lambda_)
+                               SPIN_TRIVIAL, St, family_state, lambda_)
 from genimm.strata import (CalculusReport, ELLIPTIC_TANGENCY,
                            HYPERBOLIC_TANGENCY, InapplicableEventError,
                            Path, QUADRUPLE4, QUINTUPLE4, StratumEvent,
@@ -191,6 +194,146 @@ def test_random_paths_are_deterministic_and_applicable():
     assert a == b
     c = [p.to_json() for p in random_paths(RICH5, 5, 10, seed=12)]
     assert a != c
+
+
+def eager_random_paths(initial, events_per_path, n_paths, seed=0):
+    """Reference draw: every candidate built as a validated event, and each
+    path checked by the public constructor.  random_paths must reproduce
+    its random stream draw for draw."""
+    rng = np.random.default_rng(seed)
+
+    def candidates5(state):
+        comps = state.components
+        kind = (ELLIPTIC_TANGENCY, HYPERBOLIC_TANGENCY)[rng.integers(0, 2)]
+        out = [StratumEvent(kind, 1,
+                            (int(rng.integers(0, len(comps) + 1)),), "birth")]
+        trivial = [i for i, c in enumerate(comps)
+                   if c == Component5(False, SPIN_TRIVIAL)]
+        if trivial:
+            out.append(StratumEvent(
+                kind, -1, (trivial[rng.integers(0, len(trivial))],), "death"))
+        if len(comps) >= 2:
+            i, j = rng.choice(len(comps), size=2, replace=False)
+            out.append(StratumEvent(kind, -1, (int(i), int(j)), "merge"))
+        if comps:
+            i = int(rng.integers(0, len(comps)))
+            handed = int(rng.integers(0, 4))
+            at = int(rng.integers(0, len(comps) + 1))
+            out.append(StratumEvent(kind, 1, (i, at, handed), "split"))
+            out.append(StratumEvent(TRIPLE5, int(rng.choice((1, -1))), ()))
+        return out
+
+    def candidates4(state):
+        comps = state.surface.components
+        out = [StratumEvent(TANGENCY4, 1,
+                            (int(rng.integers(0, len(comps) + 1)),),
+                            "sphere-birth"),
+               StratumEvent(TRIPLE4, 1, ()),
+               StratumEvent(QUADRUPLE4, 1, ()),
+               StratumEvent(QUINTUPLE4, int(rng.choice((1, -1))), ())]
+        spheres = [i for i, c in enumerate(comps) if c == surfaces.SPHERE]
+        if spheres:
+            out.append(StratumEvent(
+                TANGENCY4, -1, (spheres[rng.integers(0, len(spheres))],),
+                "sphere-death"))
+        if comps:
+            i = int(rng.integers(0, len(comps)))
+            out.append(StratumEvent(TANGENCY4, -1, (i,), "handle-attach"))
+        handled = [i for i, c in enumerate(comps)
+                   if c.genus_or_crosscaps >= (1 if c.orientable else 3)]
+        if handled:
+            out.append(StratumEvent(
+                TANGENCY4, 1, (handled[rng.integers(0, len(handled))],),
+                "handle-remove"))
+        if state.T >= 1:
+            out.append(StratumEvent(TRIPLE4, -1, ()))
+        if state.Q >= 2:
+            out.append(StratumEvent(QUADRUPLE4, -1, ()))
+        return out
+
+    candidates = (candidates5 if isinstance(initial, ImmersionState5)
+                  else candidates4)
+    for _ in range(n_paths):
+        state, events = initial, []
+        while len(events) < events_per_path:
+            cands = candidates(state)
+            event = cands[rng.integers(0, len(cands))]
+            try:
+                state = apply(state, event)
+            except InapplicableEventError:
+                continue
+            events.append(event)
+        yield Path(initial, tuple(events))
+
+
+@pytest.mark.parametrize("initial", [RICH5, BASE5, family_state("1/2"),
+                                     rp3_fixture()],
+                         ids=["RICH5", "BASE5", "family-1/2", "rp3"])
+@pytest.mark.parametrize("length", [2, 6])
+def test_random_paths_keep_the_eager_random_stream(initial, length):
+    for seed in range(10):
+        got = [p.to_json() for p in random_paths(initial, length, 30, seed)]
+        want = [p.to_json()
+                for p in eager_random_paths(initial, length, 30, seed)]
+        assert got == want, f"seed {seed}"
+
+
+def test_random_paths_reject_negative_counts():
+    with pytest.raises(ValueError):
+        list(random_paths(RICH5, -1, 3))
+    with pytest.raises(ValueError):
+        list(random_paths(RICH5, 2, -1))
+    assert list(random_paths(RICH5, 2, 0)) == []
+
+
+@pytest.mark.parametrize("initial", [RICH5, rp3_fixture()],
+                         ids=["5-space", "4-space"])
+def test_path_states_are_the_events_applied_in_turn(initial):
+    for path in random_paths(initial, 6, 40, seed=4):
+        state, expected = path.initial, [path.initial]
+        for event in path.events:
+            state = apply(state, event)
+            expected.append(state)
+        assert list(path.states()) == expected
+        assert path.final == expected[-1]
+        rebuilt = Path(path.initial, path.events)
+        assert rebuilt == path
+        assert list(rebuilt.states()) == expected
+
+
+def test_verify_first_order_applies_at_most_twice_per_path(monkeypatch):
+    paths = list(paths5(300))
+    calls = 0
+    counted = strata.apply
+
+    def counting_apply(state, event):
+        nonlocal calls
+        calls += 1
+        return counted(state, event)
+
+    monkeypatch.setattr(strata, "apply", counting_apply)
+    report = verify_first_order(J, paths)
+    assert report.ok and report.checked > 0
+    assert 0 < calls <= 2 * len(paths)
+
+
+def test_random_paths_share_equal_records_and_keep_them_frozen():
+    paths = list(random_paths(RICH5, 2, 200, seed=3))
+    events = [e for p in paths for e in p.events]
+    states = [s for p in paths for s in p.states()]
+    for records in (events, states):
+        shared = {}
+        for r in records:
+            assert shared.setdefault(r, r) is r
+        assert len(shared) < len(records)
+    event, state = events[0], paths[0].final
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.sign = -event.sign
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.lk = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.components[0].twist_class = 0
+    assert StratumEvent.from_json(event.to_json()) == event
 
 
 def test_path_validates_applicability():
