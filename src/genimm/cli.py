@@ -169,9 +169,7 @@ def _cmd_numtopo(args, config: Config) -> int:
         raise _CliError(2, f"{args.curve}: points must be finite")
     fam = FamilyMap(m, config=config)
     try:
-        value = numtopo.link_1cycle_3manifold(
-            curve, fam, config,
-            domain_seeds=invariants._family_domain_seeds(fam))
+        value = numtopo.link_1cycle_3manifold(curve, fam, config)
     except ValueError as exc:
         raise _CliError(2, f"{args.curve}: {exc}") from exc
     _emit(args, {"m": str(m), "link": value},

@@ -59,8 +59,9 @@ class Config:
 
     # self-intersection solver
     pair_seed_radius: float = 0.08   # largest image gap of a seed pair
-    double_seed_rings: int = 12      # seed grid: rings in the kink disk,
-                                     # 4x as many sweep angles
+    double_seed_rings: int = 12      # kink-disk grid: rings, 4x as many
+                                     # sweep angles; seeds the double-curve
+                                     # pairs and the curtain crossings
     min_preimage_separation: float = 5e-2
     double_trace_step: float = 5e-3
 
@@ -96,8 +97,8 @@ class Config:
             raise ValueError("trace_coarse_factor must be at least 1")
         if self.double_seed_rings < 1:
             raise ValueError("double_seed_rings must be at least 1")
-        for key in ("pair_seed_radius", "min_preimage_separation",
-                    "double_trace_step"):
+        for key in ("fd_step", "trace_step", "pair_seed_radius",
+                    "min_preimage_separation", "double_trace_step"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive")
 

@@ -459,23 +459,9 @@ def _induced_circle_sign(fam: FamilyMap, sheet_points, theta,
     return signs.pop()
 
 
-def _family_domain_seeds(fam: FamilyMap) -> np.ndarray:
-    """Torus-chart sample of the kink region, for crossing-solver seeding."""
-    p = fam.params
-    theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    r = np.unique(np.concatenate([
-        np.linspace(0.05, np.pi - 0.05, 18),
-        np.linspace(max(p.double_point_r - 0.3, 0.02),
-                    p.double_point_r + 0.3, 12)]))
-    phi = np.linspace(0, 2 * np.pi, 48, endpoint=False)
-    T, R, P = np.meshgrid(theta, r, phi, indexing="ij")
-    return fam.params.torus_chart(T.ravel(), R.ravel(), P.ravel())
-
-
 def _family_pushoff_link(fam: FamilyMap, rot: float, config: Config) -> int:
     curve = _pushoff_curve(fam, rot, config)
-    return numtopo.link_1cycle_3manifold(curve, fam, config,
-                                         domain_seeds=_family_domain_seeds(fam))
+    return numtopo.link_1cycle_3manifold(curve, fam, config)
 
 
 def lk_of_family(m, config: Config = DEFAULT) -> int:

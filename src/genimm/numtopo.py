@@ -17,8 +17,9 @@ crossing_link.  A closed curve K in R^5 is linked with an immersed
 3-sphere by link_1cycle_3manifold, which counts the signed crossings of
 the image through the curtain {K(s) + lambda d : lambda >= 0} that K
 sweeps along a direction d near e5, drawing a new direction when a
-crossing is not generic.  Degree and fiber routines run batched Newton
-iterations seeded from coarse grids.
+crossing is not generic.  One kink-disk grid, _kink_disk_grid, seeds both
+5-space solvers: the double-curve pairs and the curtain crossings.  Degree
+and fiber routines run batched Newton iterations seeded from coarse grids.
 
 Derivatives without a closed form come from the one central-difference
 helper, geometry.fd_jacobian.  Every equation, square or wide, is solved by
@@ -743,8 +744,9 @@ def _fibers_param(map_fn, v, config: Config, jac_fn=None):
         seeds = seeds[rng.choice(len(seeds), 400, replace=False)]
     x, ok = _newton(seeds, residual, jacobian, config.trace_corrector_tol,
                     config)
+    # the residual also vanishes on the fiber over -v
+    x = x[ok & _in_box(x) & (fn(x) @ v > 0)]
     # wrap the angles, so the one-period shifts below match every copy
-    x = x[ok & _in_box(x)]
     x[:, ::2] %= 2 * np.pi
     shifts = [np.array([2 * np.pi * i, 0.0, 2 * np.pi * j])
               for i in (-1, 0, 1) for j in (-1, 0, 1)]
@@ -1012,38 +1014,51 @@ def _curtain_crossings(verts, d, seg, manifold, constraint, seeds, img,
     verts[seg[i] + 1] and started at its projected foot point: u clipped to
     [0, 1] and lambda the height of its image above A + u (B - A) along d.
     The 6 x 6 system f(x) = A + u (B - A) + lambda d, G(x) = 0 is solved by
-    _newton to config.newton_tol; converged rows with lambda > 0 and u in
-    (0, 1) are deduplicated and signed.  A crossing within 1e-5 in u of a
-    vertex or failing the transversality threshold raises _DegenerateChain
-    so the caller can draw a new direction.  A converged row on the curve
-    itself (|lambda| < config.min_image_separation) raises ValueError.
+    _newton to config.newton_tol, and once more on the neighbouring segment
+    for rows that converge with u in [-1, 0) or [1, 2).  Converged rows
+    with lambda > 0 and u in (0, 1) are deduplicated and signed.  A
+    crossing within 1e-5 in u of a vertex or failing the transversality
+    threshold raises _DegenerateChain so the caller can draw a new
+    direction.  A converged row on the curve itself
+    (|lambda| < config.min_image_separation) raises ValueError.
     """
     edge = 1e-5
-    A = verts[seg]
-    E = np.roll(verts, -1, axis=0)[seg] - A
-    flat_e = _flatten(E, d)
-    u0 = np.clip(np.einsum("ij,ij->i", img - A, flat_e)
-                 / np.einsum("ij,ij->i", flat_e, flat_e), 0.0, 1.0)
-    lam0 = (img - A - u0[:, None] * E) @ d
-    z = np.column_stack([seeds, u0, lam0])
+    nxt = np.roll(verts, -1, axis=0)
 
-    def residual(zz, rows):
-        F = np.empty((len(zz), 6))
-        F[:, :5] = (manifold.ambient_eval(zz[:, :4]) - A[rows]
-                    - zz[:, 4, None] * E[rows] - zz[:, 5, None] * d)
-        F[:, 5] = constraint(zz[:, :4])
-        return F
+    def solve(x, img, seg):
+        A, E = verts[seg], nxt[seg] - verts[seg]
+        flat_e = _flatten(E, d)
+        u0 = np.clip(np.einsum("ij,ij->i", img - A, flat_e)
+                     / np.einsum("ij,ij->i", flat_e, flat_e), 0.0, 1.0)
+        lam0 = (img - A - u0[:, None] * E) @ d
 
-    def jacobian(zz, rows):
-        x = zz[:, :4]
-        J = np.zeros((len(zz), 6, 6))
-        J[:, :5, :4] = manifold.ambient_jacobian(x)
-        J[:, 5, :4] = fd_jacobian(constraint, x, config.fd_step)
-        J[:, :5, 4] = -E[rows]
-        J[:, :5, 5] = -d
-        return J
+        def residual(zz, rows):
+            F = np.empty((len(zz), 6))
+            F[:, :5] = (manifold.ambient_eval(zz[:, :4]) - A[rows]
+                        - zz[:, 4, None] * E[rows] - zz[:, 5, None] * d)
+            F[:, 5] = constraint(zz[:, :4])
+            return F
 
-    z, conv = _newton(z, residual, jacobian, config.newton_tol, config)
+        def jacobian(zz, rows):
+            x = zz[:, :4]
+            J = np.zeros((len(zz), 6, 6))
+            J[:, :5, :4] = manifold.ambient_jacobian(x)
+            J[:, 5, :4] = fd_jacobian(constraint, x, config.fd_step)
+            J[:, :5, 4] = -E[rows]
+            J[:, :5, 5] = -d
+            return J
+
+        return _newton(np.column_stack([x, u0, lam0]), residual, jacobian,
+                       config.newton_tol, config)
+
+    z, conv = solve(seeds, img, seg)
+    # u in [-1, 0) or [1, 2): the row solved its segment's line past an end
+    hop = np.floor(z[:, 4]).astype(int)
+    move = conv & (np.abs(hop) == 1)
+    seg = (seg + move * hop) % len(verts)
+    x = z[move, :4]
+    z[move], conv[move] = solve(x, manifold.ambient_eval(x), seg[move])
+    E = nxt[seg] - verts[seg]
     # a solution on the segment (lambda ~ 0) is an image point on the curve
     if np.any(conv & (np.abs(z[:, 5]) < config.min_image_separation)
               & (z[:, 4] > -edge) & (z[:, 4] < 1 + edge)):
@@ -1074,20 +1089,22 @@ def _curtain_crossings(verts, d, seg, manifold, constraint, seeds, img,
 
 
 def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
-                          direction=None, domain_seeds=None) -> int:
+                          direction=None) -> int:
     """Linking number in R^5 of a closed curve with an immersed 3-sphere.
 
     curve is a closed polyline K in R^5 disjoint from the image of
     manifold, an immersion exposing vectorized ambient_eval /
     ambient_jacobian over the star-shaped domain hypersurface
-    {domain_constraint(., params) = 0}.  The class of the curve in H_1 of
-    the image complement is the signed count of crossings of the image
-    through any 2-chain bounding the curve; the chain used here is the
-    curtain {K(s) + lambda d : lambda >= 0} that K sweeps along a unit
-    direction d, the cone over K from the point at infinity in direction d.
-    Seeds are domain points whose images lie within 0.025 of K once both
-    are projected along d, and each crossing, solved on the segment of its
-    seed, is signed by
+    {domain_constraint(., params) = 0}, with KinkParams params.  The class
+    of the curve in H_1 of the image complement is the signed count of
+    crossings of the image through any 2-chain bounding the curve; the
+    chain used here is the curtain {K(s) + lambda d : lambda >= 0} that K
+    sweeps along a unit direction d, the cone over K from the point at
+    infinity in direction d.  Seeds are the points of a random domain
+    sample joined to the kink-disk grid of solve_self_intersection
+    (config.double_seed_rings rings) whose images, refined, lie within
+    0.025 of K once both are projected along d.  Each crossing, solved on
+    the segment of its seed or its neighbour, is signed by
 
         det[B - A, d, f_* b1, f_* b2, f_* b3]
 
@@ -1099,10 +1116,6 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
     threshold moves on to the next, max(1, config.apex_retries) in all,
     after which NonRegularValueError is raised.  A given direction is the
     only one tried.
-
-    domain_seeds, optional (N, 4) points on the domain, augment the
-    built-in ray-refinement seed search; pass them when the immersion has
-    features sharper than its 0.25-coarse sampling can see.
     """
     verts = _drop_duplicate_endpoint(curve)
     if verts.shape[1] != 5:
@@ -1122,12 +1135,13 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
     nxt = np.roll(verts, -1, axis=0)
     samples = np.concatenate([0.75 * verts + 0.25 * nxt,
                               0.25 * verts + 0.75 * nxt])
+    grid = _kink_disk_grid(manifold.params, config.double_seed_rings)
     last_err = None
     for d in directions:
         tree = cKDTree(_flatten(samples, d))
         seeds = _seeds_near_chain(
             tree, lambda x: _flatten(manifold.ambient_eval(x), d),
-            constraint, config, extra=domain_seeds)
+            constraint, config, extra=grid)
         if seeds is None or len(seeds) == 0:
             return 0
         img = manifold.ambient_eval(seeds)

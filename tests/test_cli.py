@@ -461,3 +461,14 @@ def test_bad_config_is_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "--config", str(cfg), "family", "--m", "0")
     assert code == 2
     assert "config" in err
+
+
+@pytest.mark.parametrize("key", ["trace_step", "fd_step"])
+def test_zero_step_in_config_is_a_usage_error(capsys, tmp_path, key):
+    # with trace_step = 0 the fiber tracer would never cover a seed
+    cfg = tmp_path / "genimm.cfg"
+    cfg.write_text(f"{key} = 0\n")
+    code, out, err = run(capsys, "--config", str(cfg), "numtopo", "hopf",
+                         "--m", "1/2")
+    assert (code, out) == (2, "")
+    assert "config error" in err and key in err

@@ -28,7 +28,7 @@ def test_trace_coarse_factor_must_be_at_least_one():
 @pytest.mark.parametrize("key, value", [
     ("double_seed_rings", 0), ("pair_seed_radius", 0.0),
     ("pair_seed_radius", -0.08), ("min_preimage_separation", 0.0),
-    ("double_trace_step", -5e-3)])
+    ("double_trace_step", -5e-3), ("fd_step", 0.0), ("trace_step", 0.0)])
 def test_double_curve_keys_must_be_positive(key, value):
     with pytest.raises(ValueError, match=key):
         Config(**{key: value})

@@ -22,7 +22,7 @@ from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             spherical_cone_link, projected_link,
                             oriented_complement, solve_self_intersection,
                             stereographic, stereographic_basis)
-from genimm import numtopo
+from genimm import invariants, numtopo
 from genimm.numtopo import (_DEDUPE_RADIUS, _dedupe, _newton, _periodic_key,
                             _seeds_near_chain, _star_project)
 
@@ -714,6 +714,28 @@ class TestHopf:
             assert np.allclose(np.linalg.norm(fib, axis=1), 1.0, atol=1e-8)
             assert np.linalg.norm(fib[0] - fib[-1]) < 0.1
 
+    def test_seed_on_the_antipodal_fiber_is_dropped(self, monkeypatch):
+        # the residual (fn(x) - v) @ W also vanishes over -v; a seed that
+        # Newton carries there must not be traced as a fiber over v
+        v = np.array([1.0, 0.0, 0.0])
+        antipodal = numtopo._fibers_param(classical_on_box, -v, CFG)[0][0]
+        assert np.allclose(classical_on_box(*antipodal[:, None]), -v,
+                           atol=1e-7)
+        real = numtopo._newton
+        seeded = []
+
+        def newton(x, residual, jacobian, tol, config):
+            x, ok = real(x, residual, jacobian, tol, config)
+            if not seeded:   # the first call is the seed solve
+                seeded.append(True)
+                x, ok = np.vstack([x, antipodal]), np.append(ok, True)
+            return x, ok
+
+        monkeypatch.setattr(numtopo, "_newton", newton)
+        fibers = numtopo._fibers_param(classical_on_box, v, CFG)
+        assert len(fibers) == 1
+        assert np.allclose(classical_on_box(*fibers[0].T), v, atol=1e-6)
+
 
 class TestSelfIntersection:
     def test_half_integer_single_component(self):
@@ -1070,6 +1092,18 @@ class TestCurtainLink:
                                  + np.sin(t) * self.e5)
         with pytest.raises(ValueError, match="too close to the image"):
             link_1cycle_3manifold(curve, self.fam, CFG)
+
+    @pytest.mark.parametrize("m, seed", [("-2", 7), ("2", 6)])
+    def test_family_pushoff_needs_no_extra_seeds(self, m, seed):
+        # at seed 7 the random start sample alone misses a sheet of the
+        # m = -2 image, which the kink-disk grid finds; at seed 6 one m = 2
+        # crossing is solved only from seeds of the neighbouring segment
+        config = Config(seed=seed)
+        fam = FamilyMap(m, config=config)
+        rot = next(r for r in (-fam.m.twice, fam.m.twice)
+                   if invariants._framing_null_homologous(fam, r, config))
+        curve = invariants._pushoff_curve(fam, rot, config)
+        assert link_1cycle_3manifold(curve, fam, config) == -2 * fam.m.twice
 
 
 class TestSignedCount:
