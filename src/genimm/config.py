@@ -1,21 +1,20 @@
 """Shared configuration: tolerances, grid sizes, geometry parameters, conventions.
 
 Every field here is read by some engine, and a config file naming a key
-that is not a field is rejected.  Some engines still hard-code constants:
-the 0.35/0.2 grid thresholds in ``degree_S3``, the 1e-6 dedupe radius of
-converged solutions, the 400-seed cap and 48-point grid of the fiber
-finder, the 0.25/0.08/0.025 chain seed radii and the
-60,000-point start and 150,000-point draws of the chain seed search, the
-13-neighbour query of the double-curve seed grid, the 1e-5 vertex margin
-and the 0.06 tilt from e5 of the curtain directions of
-``numtopo.link_1cycle_3manifold``, the 1e-6 vertex and parallel margin of
-the projected crossings of ``numtopo.crossing_link``, the 8e-3 framing
-shift, the 6 step halvings of the batched Newton ``numtopo._newton``, the
-1% by which the curve tracer's coarse step falls short of
-``trace_coarse_factor`` steps, the dim 6 up to which ``qform.brown``
-certifies its splitting by the Gauss sum and the 1e-12 bound on
-|det[rows; complement]| below which ``numtopo.oriented_complement`` calls
-its rows rank deficient.  A config
+that is not a field is rejected.  Some engines still hard-code
+constants: the 0.35/0.2 grid thresholds of ``numtopo._box_preimages``,
+the 1e-6 dedupe radius of converged solutions, the 0.25/0.08/0.025 chain
+seed radii and the 60,000-point start and 150,000-point draws of the
+chain seed search, the 13-neighbour query of the double-curve seed grid,
+the 1e-5 vertex margin and the 0.06 tilt from e5 of the curtain
+directions of ``numtopo.link_1cycle_3manifold``, the 1e-6 vertex and
+parallel margin of the projected crossings of ``numtopo.crossing_link``,
+the 8e-3 framing shift, the 6 step halvings of the batched Newton
+``numtopo._newton``, the 1% by which the curve tracer's coarse step
+falls short of ``trace_coarse_factor`` steps, the dim 6 up to which
+``qform.brown`` certifies its splitting by the Gauss sum and the 1e-12
+bound on |det[rows; complement]| below which
+``numtopo.oriented_complement`` calls its rows rank deficient.  A config
 can be loaded from a flat ``key = value`` file; the ``GENIMM_CONFIG``
 environment variable overrides the default config path only, never
 individual values.
@@ -35,7 +34,8 @@ class Config:
     max_qform_dim: int = 24          # q_table enumerates 2**dim vectors
 
     # generic numerical engines
-    degree_grid: int = 64            # seeds per axis for degree preimage search
+    degree_grid: int = 64            # box grid points per axis: seeds the
+                                     # degree preimages and the Hopf fibers
     newton_tol: float = 1e-10        # residual target for Newton/Gauss-Newton
     newton_max_iter: int = 60
     jacobian_min_det: float = 1e-6   # regular-value check threshold
@@ -93,10 +93,11 @@ class Config:
             raise ValueError("sign conventions must be +-1")
         if self.sigma_sign not in (-1, 1):
             raise ValueError("sigma_sign must be +-1")
-        if self.trace_coarse_factor < 1:
-            raise ValueError("trace_coarse_factor must be at least 1")
-        if self.double_seed_rings < 1:
-            raise ValueError("double_seed_rings must be at least 1")
+        for key, least in (("trace_coarse_factor", 1),
+                           ("double_seed_rings", 1), ("degree_grid", 1),
+                           ("curve_points", 3), ("apex_retries", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}")
         for key in ("fd_step", "trace_step", "pair_seed_radius",
                     "min_preimage_separation", "double_trace_step"):
             if not getattr(self, key) > 0:

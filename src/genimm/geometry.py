@@ -162,24 +162,19 @@ class KinkParams:
     """Geometry of the planted kink.
 
     a: radius of the kink disk inside the flat polar cap (flat cap radius
-    2a, round part resumes at 4a, so a < 1/4); epsilon/delta: tube radius
-    and perturbation amplitude for the local double-cover model, with
-    delta << epsilon.
+    2a, round part resumes at 4a, so a < 1/4); r1 < r2: the transition
+    annulus in kink coordinates.
     """
 
     a: float = DEFAULT.cap_a
     r1: float = DEFAULT.kink_r1
     r2: float = DEFAULT.kink_r2
-    epsilon: float = 0.5
-    delta: float = 0.05
 
     def __post_init__(self):
         if not (0 < self.a < 0.25):
             raise ValueError("a must lie in (0, 1/4)")
         if not (0 < self.r1 < self.r2):
             raise ValueError("need 0 < r1 < r2")
-        if not (0 < self.delta < self.epsilon):
-            raise ValueError("need 0 < delta < epsilon")
 
     @property
     def cap_height(self) -> float:
@@ -190,11 +185,6 @@ class KinkParams:
     def kink_scale(self) -> float:
         """Scale factor mapping kink coordinates onto the disk of radius a."""
         return self.a / self.r2
-
-    @property
-    def double_point_r(self) -> float:
-        """Radial torus coordinate of the double-point preimages: pi / r2."""
-        return np.pi / self.r2
 
     @staticmethod
     def from_config(config: Config) -> "KinkParams":

@@ -10,16 +10,18 @@ all segment pairs exactly, and crossing_link counts the signed crossings of
 a generic planar projection, certified and near linear in the number of
 vertices; on the 3-sphere of rays, spherical_cone_link counts the signed
 crossings through a spherical cone.  hopf_invariant traces the fibers of
-a map on the (theta, r, phi) box that degree_S3 also searches, and links
-each pair with gauss_link and spherical_cone_link, which must agree;
+a map on the (theta, r, phi) box and links each pair with gauss_link and
+spherical_cone_link, which must agree;
 projected_link, the framing check of invariants.lk_of_family, uses
 crossing_link.  A closed curve K in R^5 is linked with an immersed
 3-sphere by link_1cycle_3manifold, which counts the signed crossings of
 the image through the curtain {K(s) + lambda d : lambda >= 0} that K
 sweeps along a direction d near e5, drawing a new direction when a
 crossing is not generic.  One kink-disk grid, _kink_disk_grid, seeds both
-5-space solvers: the double-curve pairs and the curtain crossings.  Degree
-and fiber routines run batched Newton iterations seeded from coarse grids.
+5-space solvers: the double-curve pairs and the curtain crossings.  One
+box finder, _box_preimages, seeds both box solvers from the
+config.degree_grid grid: the preimages that degree_S3 counts and the
+fibers that hopf_invariant traces.
 
 Derivatives without a closed form come from the one central-difference
 helper, geometry.fd_jacobian.  Every equation, square or wide, is solved by
@@ -240,9 +242,9 @@ def crossing_link(curve_a, curve_b, config: Config = DEFAULT,
     vertices.  The count is certified, not rounded: a direction with a
     crossing near a vertex, a near-parallel crossing, an over/under gap
     below config.min_image_separation, or unequal a-over-b and b-over-a
-    counts is replaced by a fresh one, max(1, config.apex_retries) times
-    in all, after which ArithmeticError is raised.  A given direction is
-    the only one tried.
+    counts is replaced by a fresh one, config.apex_retries times in all,
+    after which ArithmeticError is raised.  A given direction is the only
+    one tried.
     """
     a = _drop_duplicate_endpoint(curve_a)
     b = _drop_duplicate_endpoint(curve_b)
@@ -254,7 +256,7 @@ def crossing_link(curve_a, curve_b, config: Config = DEFAULT,
         directions = [_unit(direction)]
     else:
         rng = np.random.default_rng(config.seed + 3)
-        directions = _unit(rng.normal(size=(max(1, config.apex_retries), 3)))
+        directions = _unit(rng.normal(size=(config.apex_retries, 3)))
     for d in directions:
         total = _projected_crossings(a, b, d, config)
         if total is not None:
@@ -421,23 +423,6 @@ def _in_box(x):
     return (x[:, 1] > 1e-7) & (x[:, 1] < np.pi - 1e-7)
 
 
-def _box_map(map_fn, jac_fn, config: Config):
-    """map_fn(theta, r, phi) and its Jacobian as functions of stacked points.
-
-    Without jac_fn the Jacobian is taken by central differences.
-    """
-    def fn(p):
-        return map_fn(p[..., 0], p[..., 1], p[..., 2])
-
-    if jac_fn is None:
-        def jac(p):
-            return fd_jacobian(fn, p, config.fd_step)
-    else:
-        def jac(p):
-            return jac_fn(p[..., 0], p[..., 1], p[..., 2])
-    return fn, jac
-
-
 # Duplicate Newton solutions agree to ~1e-8 and distinct ones are >= 0.08
 # apart, both in degree_S3 and in _curtain_crossings.
 _DEDUPE_RADIUS = 1e-6
@@ -511,71 +496,76 @@ def _newton(x, residual, jacobian, tol, config: Config):
     return x, best < tol
 
 
+def _box_preimages(map_fn, v, config: Config, jac_fn, tol):
+    """Preimages of the unit value v under map_fn on the (theta, r, phi) box.
+
+    Every point of the config.degree_grid box grid whose image lies within
+    0.35 of v seeds one _newton batch to tol on fn(x) @ W = 0, with W the
+    oriented_complement of v.  That equation also holds over -v, so only
+    the rows that converge inside the box (_in_box) with fn(x) @ v > 0 are
+    kept.  Without jac_fn the Jacobian is taken by central differences.
+    Returns the kept points, the residual and jacobian given to _newton,
+    and the least distance from v of the grid's images.
+    """
+    W = oriented_complement(v)
+
+    def fn(p):
+        return map_fn(p[..., 0], p[..., 1], p[..., 2])
+
+    def residual(p, _rows):
+        return fn(p) @ W
+
+    def jacobian(p, _rows):
+        if jac_fn is None:
+            return W.T @ fd_jacobian(fn, p, config.fd_step)
+        return W.T @ jac_fn(p[..., 0], p[..., 1], p[..., 2])
+
+    theta, r = _box_axes(config.degree_grid)
+    R, P = np.meshgrid(r, theta, indexing="ij")
+    best = np.inf
+    seeds = []
+    for th in theta:
+        T = np.full(R.shape, th)
+        dist = np.linalg.norm(map_fn(T, R, P) - v, axis=-1)
+        best = min(best, dist.min())
+        mask = dist < 0.35
+        seeds.append(np.stack([T[mask], R[mask], P[mask]], axis=-1))
+    x, ok = _newton(np.concatenate(seeds), residual, jacobian, tol, config)
+    return x[ok & _in_box(x) & (fn(x) @ v > 0)], residual, jacobian, best
+
+
 def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCount:
     """Mapping degree at a regular value of a map (theta, r, phi) -> S^3.
 
     The domain is the box [0, 2pi) x [0, pi] x [0, 2pi) with periodic first
-    and last coordinates.  Preimages are located by a coarse grid prefilter
-    followed by _newton to config.newton_tol on the coordinates in the
-    tangent chart of the value, deduplicated within _DEDUPE_RADIUS after
-    embedding the periodic angles by cosine and sine, and signed by the sign
-    of det[value, J columns].  Raises NonRegularValueError when any preimage
-    fails the Jacobian regularity threshold.
+    and last coordinates.  _box_preimages finds the preimages to
+    config.newton_tol; they are deduplicated within _DEDUPE_RADIUS after
+    embedding the periodic angles by cosine and sine, and signed by
+    det(W^T J), W the oriented_complement of the value.  That equals the
+    sign of det[value, J columns], since [value, W] is a positive basis and
+    value^T J = 0 at a preimage.  Without preimages, a value that every
+    grid image misses by more than 0.2 has degree 0 and a nearer one raises
+    NonRegularValueError, as does a preimage with |det(W^T J)| below
+    config.jacobian_min_det.
     """
     v = _unit(np.asarray(value, dtype=float))
-    fn, jac = _box_map(map_fn, jac_fn, config)
-    basis = stereographic_basis(v)
-
-    theta, r = _box_axes(config.degree_grid)
-    n = len(theta)
-    best = np.inf
-    cand = []
-    for th in theta:
-        T = np.full((n, n), th)
-        R, P = np.meshgrid(r, theta, indexing="ij")
-        vals = map_fn(T, R, P)
-        dist = np.linalg.norm(vals - v, axis=-1)
-        best = min(best, dist.min())
-        mask = dist < 0.35
-        if mask.any():
-            cand.append(np.stack([T[mask], R[mask], P[mask]], axis=-1))
-    if not cand:
-        if best > 0.2:
-            return SignedCount(np.empty((0, 3)), np.empty(0, dtype=int))
-        raise NonRegularValueError("grid approaches the value but no "
-                                   "candidate cell isolates a preimage")
-
-    def residual(p, _rows):
-        return fn(p) @ basis
-
-    def jacobian(p, _rows):
-        return np.einsum("ki,...ij->...kj", basis.T, jac(p))
-
-    x, ok = _newton(np.concatenate(cand), residual, jacobian,
-                    config.newton_tol, config)
-    # the chart residual also vanishes at preimages of -v
-    ok &= (fn(x) @ v > 0.5) & _in_box(x)
-    x = x[ok]
+    x, _, jacobian, best = _box_preimages(map_fn, v, config, jac_fn,
+                                          config.newton_tol)
     if len(x) == 0:
         if best > 0.2:
             return SignedCount(np.empty((0, 3)), np.empty(0, dtype=int))
         raise NonRegularValueError("Newton lost every candidate preimage")
 
     reps = x[_dedupe(_periodic_key(x), _DEDUPE_RADIUS)]
-    J = jac(reps)
-    JF = np.einsum("ki,...ij->...kj", basis.T, J)
-    if np.any(np.abs(np.linalg.det(JF)) < config.jacobian_min_det):
+    det = np.linalg.det(jacobian(reps, None))
+    if np.any(np.abs(det) < config.jacobian_min_det):
         raise NonRegularValueError("value is not regular: singular Jacobian "
                                    "at a preimage")
-    full = np.concatenate([np.broadcast_to(v, (len(reps), 4))[..., None], J],
-                          axis=-1)
-    signs = np.sign(np.linalg.det(full)).astype(int)
-    return SignedCount(reps, signs)
+    return SignedCount(reps, np.sign(det).astype(int))
 
 
 # ---------------------------------------------------------------------------
 # the corrector, the curve tracer, fiber tracing and the Hopf invariant
-_FIBER_GRID = 48          # seed grid points per axis of the parameter box
 
 
 def positive_tangent_basis(constraint, x, config: Config) -> np.ndarray:
@@ -725,27 +715,8 @@ def _trace_all(points, residual, jacobian, tol, step, config: Config, shifts,
 
 def _fibers_param(map_fn, v, config: Config, jac_fn=None):
     """All fiber components of map_fn over v in the (theta, r, phi) box."""
-    fn, jac = _box_map(map_fn, jac_fn, config)
-    W = oriented_complement(v)
-
-    def residual(x, _rows):
-        return (fn(x) - v) @ W
-
-    def jacobian(x, _rows):
-        return W.T @ jac(x)
-
-    theta, r = _box_axes(_FIBER_GRID)
-    T, R, P = np.meshgrid(theta, r, theta, indexing="ij")
-    vals = map_fn(T, R, P)
-    mask = np.linalg.norm(vals - v, axis=-1) < 0.3
-    seeds = np.stack([T[mask], R[mask], P[mask]], axis=-1)
-    if len(seeds) > 400:
-        rng = np.random.default_rng(config.seed)
-        seeds = seeds[rng.choice(len(seeds), 400, replace=False)]
-    x, ok = _newton(seeds, residual, jacobian, config.trace_corrector_tol,
-                    config)
-    # the residual also vanishes on the fiber over -v
-    x = x[ok & _in_box(x) & (fn(x) @ v > 0)]
+    x, residual, jacobian, _ = _box_preimages(map_fn, v, config, jac_fn,
+                                              config.trace_corrector_tol)
     # wrap the angles, so the one-period shifts below match every copy
     x[:, ::2] %= 2 * np.pi
     shifts = [np.array([2 * np.pi * i, 0.0, 2 * np.pi * j])
@@ -761,11 +732,12 @@ def hopf_invariant(map_fn, config: Config = DEFAULT, *, to_sphere,
     map_fn(theta, r, phi) maps the box of degree_S3 to the unit 2-sphere,
     with jac_fn its Jacobian (central differences without it), and
     to_sphere carries an (N, 3) polyline of box points to rays in R^4.
-    The fibers are found in the open box, so the edges r = 0 and r = pi
-    must stay clear of the fibers over the values.  Each fiber is traced,
-    oriented so that the differential carries a positive complement onto
-    the chosen tangent basis at the value, pushed onto the unit 3-sphere,
-    and linked with gauss_link and spherical_cone_link; the two must agree.
+    _box_preimages, the finder of degree_S3, seeds the fibers in the open
+    box, so the edges r = 0 and r = pi must stay clear of the fibers over
+    the values.  Each fiber is traced by _trace_all, oriented so that the
+    differential carries a positive complement onto the chosen tangent
+    basis at the value, pushed onto the unit 3-sphere, and linked with
+    gauss_link and spherical_cone_link; the two must agree.
     A map that misses a value is null homotopic, giving 0, so the fibers
     over the second value are not traced when the first has none.
 
@@ -1113,7 +1085,7 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
     image once positively gets +1.  The count is independent of d.  The
     directions are unit(e5 + 0.06 N(0, I)) drawn from config.seed + 11: a
     crossing within 1e-5 of a vertex or failing the transversality
-    threshold moves on to the next, max(1, config.apex_retries) in all,
+    threshold moves on to the next, config.apex_retries in all,
     after which NonRegularValueError is raised.  A given direction is the
     only one tried.
     """
@@ -1129,7 +1101,7 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
     else:
         rng = np.random.default_rng(config.seed + 11)
         directions = _unit(np.eye(5)[4] + 0.06 * rng.normal(
-            size=(max(1, config.apex_retries), 5)))
+            size=(config.apex_retries, 5)))
     # the points at u = 1/4 and 3/4 of each segment; sample i lies on
     # segment i mod n
     nxt = np.roll(verts, -1, axis=0)

@@ -26,7 +26,7 @@ from genimm.invariants import (Component5, ImmersionState5, J, L, St,
                                _framing_null_homologous, connected_sum5,
                                embedding_test, family_state, lambda_,
                                lk_of_family, reverse_orientation,
-                               smale_of_family, tau)
+                               second_column_hopf, smale_of_family, tau)
 from genimm.numtopo import (NonRegularValueError, degree_S3, gauss_link,
                             hausdorff_distance, hopf_invariant,
                             projected_link, solve_self_intersection,
@@ -296,6 +296,8 @@ def test_numerics_cross_validation():
                    ((0.2, 0.5, np.sqrt(0.71)), (-0.3, 0.4, -np.sqrt(0.75)))):
         assert hopf_invariant(column_n1, CFG, to_sphere=to_sphere,
                               values=values) == -1
+    # and to the box grid, which seeds the fibers as it seeds the degree
+    assert second_column_hopf(coarse) == -1
     # the five-space crossing count is blind to the curtain direction and
     # the seed draw, both of which the config seed moves
     assert lk_of_family(HalfInteger(1), CFG) == -2

@@ -472,3 +472,15 @@ def test_zero_step_in_config_is_a_usage_error(capsys, tmp_path, key):
                          "--m", "1/2")
     assert (code, out) == (2, "")
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("degree_grid", 0), ("curve_points", 2), ("apex_retries", 0)])
+def test_count_below_its_least_value_is_a_usage_error(capsys, tmp_path, key,
+                                                      value):
+    cfg = tmp_path / "genimm.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, err = run(capsys, "--config", str(cfg), "numtopo", "hopf",
+                         "--m", "1/2")
+    assert (code, out) == (2, "")
+    assert "config error" in err and key in err

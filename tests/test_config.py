@@ -32,3 +32,13 @@ def test_trace_coarse_factor_must_be_at_least_one():
 def test_double_curve_keys_must_be_positive(key, value):
     with pytest.raises(ValueError, match=key):
         Config(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("degree_grid", 0), ("curve_points", 2), ("apex_retries", 0)])
+def test_count_keys_below_their_least_value_are_rejected(key, value):
+    # an empty box grid would read as degree 0 and Hopf 0, fewer than 3
+    # curve points make no closed polyline, and no direction or apex
+    # gives no count
+    with pytest.raises(ValueError, match=key):
+        Config(**{key: value})

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 from genimm.config import Config
 from genimm.geometry import (FamilyMap, HalfInteger, classical_hopf,
                              column_m1, column_m1_jacobian, column_n1,
-                             domain_constraint, quat_mul)
+                             column_n1_jacobian, domain_constraint, quat_mul)
 from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             crossing_link, degree_S3, gauss_link,
                             gauss_link_raw,
@@ -202,7 +202,7 @@ class TestCrossingLink:
 
     def test_degenerate_direction_exhausts_retries(self):
         a, b = degenerate_pair("vertex")
-        cfg = CFG.replace(apex_retries=0)
+        cfg = CFG.replace(apex_retries=1)
         with pytest.raises(ArithmeticError):
             crossing_link(a, b, cfg, direction=(0.0, 0.0, 1.0))
         assert abs(crossing_link(a, b, cfg)) == 1
@@ -735,6 +735,37 @@ class TestHopf:
         fibers = numtopo._fibers_param(classical_on_box, v, CFG)
         assert len(fibers) == 1
         assert np.allclose(classical_on_box(*fibers[0].T), v, atol=1e-6)
+
+    def test_fibers_do_not_depend_on_the_config_seed(self):
+        v = np.array([0.0, 0.0, 1.0])
+        traced = {b"".join(c.tobytes() for c in numtopo._fibers_param(
+                      column_n1, v, CFG.replace(seed=seed),
+                      column_n1_jacobian))
+                  for seed in (0, 7, 12)}
+        assert len(traced) == 1
+
+    def test_every_grid_point_near_the_value_seeds_newton(self, monkeypatch):
+        # no cap on the seeds: the first Newton batch is every point of the
+        # degree_grid box grid whose image lies within 0.35 of the value
+        v = np.array([0.0, 0.0, 1.0])
+        real = numtopo._newton
+        batches = []
+
+        def newton(x, residual, jacobian, tol, config):
+            batches.append(np.array(x))
+            return real(x, residual, jacobian, tol, config)
+
+        monkeypatch.setattr(numtopo, "_newton", newton)
+        numtopo._fibers_param(column_n1, v, CFG, column_n1_jacobian)
+        n = CFG.degree_grid
+        angle = np.linspace(0, 2 * np.pi, n, endpoint=False)
+        r = (np.arange(n) + 0.5) * np.pi / n
+        grid = np.stack(np.meshgrid(angle, r, angle, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+        near = grid[np.linalg.norm(column_n1(*grid.T) - v, axis=1) < 0.35]
+        assert len(batches[0]) == len(near) == 5248
+        assert np.array_equal(np.unique(batches[0], axis=0),
+                              np.unique(near, axis=0))
 
 
 class TestSelfIntersection:
