@@ -382,7 +382,9 @@ def spherical_cone_link(curve_a, curve_b, config: Config = DEFAULT,
     Both curves are taken up to positive radial scale, so any hypersurface
     star shaped about the origin works.  The number returned is the signed
     count of crossings of curve_b through a 2-chain coning curve_a off to an
-    apex ray, equal to the Gauss-projection linking number.
+    apex ray, equal to the Gauss-projection linking number.  Without a given
+    apex, the config.apex_retries candidates farthest from both curves, out
+    of max(40, config.apex_retries) random ones, are tried in turn.
     """
     a = _unit(_drop_duplicate_endpoint(curve_a))
     b = _unit(_drop_duplicate_endpoint(curve_b))
@@ -397,7 +399,7 @@ def spherical_cone_link(curve_a, curve_b, config: Config = DEFAULT,
     if apex is not None:
         candidates = [_unit(np.asarray(apex, dtype=float))]
     else:
-        pool = _unit(rng.normal(size=(40, 4)))
+        pool = _unit(rng.normal(size=(max(40, config.apex_retries), 4)))
         pts = np.concatenate([a, b])
         score = np.linalg.norm(pts[None] - pool[:, None], axis=-1).min(axis=1)
         candidates = list(pool[np.argsort(score)[::-1]][:config.apex_retries])

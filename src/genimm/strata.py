@@ -251,6 +251,32 @@ def apply(state: State, event: StratumEvent) -> State:
     raise TypeError("state must be a 5-space or 4-space immersion state")
 
 
+# what _apply_once records for an event that does not apply at the state
+_INAPPLICABLE = object()
+
+
+def _apply_once(memo: dict, state: State, event: StratumEvent):
+    """apply(state, event), or _INAPPLICABLE, computed once per memo.
+
+    The memo belongs to one call of a sweep.  It is looked up by the
+    identity of the two records first (random_paths shares equal records,
+    so this is the usual hit) and then by their value, so equal pairs are
+    applied once.  An identity entry keeps its records alive, so their ids
+    cannot be reused while the memo lives.
+    """
+    hit = memo.get((id(state), id(event)))
+    if hit is None:
+        after = memo.get((state, event))
+        if after is None:
+            try:
+                after = apply(state, event)
+            except InapplicableEventError:
+                after = _INAPPLICABLE
+            memo[(state, event)] = after
+        hit = memo[(id(state), id(event))] = (after, state, event)
+    return hit[0]
+
+
 def reverse(event: StratumEvent, state: Optional[State] = None) -> StratumEvent:
     """The event undoing this one: apply(apply(s, e), reverse(e, s)) == s.
 
@@ -353,6 +379,26 @@ class Path:
 
 # The candidate walls at a state, as (kind, sign, operand, detail) fields in
 # the order random_paths draws them; only the chosen one becomes an event.
+# Every draw is an rng.integers call: it skips the Python-level argument
+# handling of rng.choice and consumes the random stream exactly as the
+# rng.choice calls it replaces.
+
+
+def _distinct_pair(rng, n: int) -> tuple[int, int]:
+    """Draw for draw rng.choice(n, size=2, replace=False), for n >= 2:
+    Floyd's algorithm over the last two slots, then the final shuffle."""
+    i = int(rng.integers(0, n - 1))
+    j = int(rng.integers(0, n))
+    if j == i:
+        j = n - 1
+    if rng.integers(0, 2) == 0:
+        i, j = j, i
+    return i, j
+
+
+def _random_sign(rng) -> int:
+    """Draw for draw rng.choice((1, -1))."""
+    return (1, -1)[rng.integers(0, 2)]
 
 
 def _candidate_events_5(state: ImmersionState5, rng) -> list[tuple]:
@@ -364,14 +410,13 @@ def _candidate_events_5(state: ImmersionState5, rng) -> list[tuple]:
         out.append((kind, -1, (trivial[rng.integers(0, len(trivial))],),
                     "death"))
     if len(comps) >= 2:
-        i, j = rng.choice(len(comps), size=2, replace=False)
-        out.append((kind, -1, (int(i), int(j)), "merge"))
+        out.append((kind, -1, _distinct_pair(rng, len(comps)), "merge"))
     if comps:
         i = int(rng.integers(0, len(comps)))
         handed = int(rng.integers(0, 4))
         at = int(rng.integers(0, len(comps) + 1))
         out.append((kind, 1, (i, at, handed), "split"))
-        out.append((TRIPLE5, int(rng.choice((1, -1))), (), None))
+        out.append((TRIPLE5, _random_sign(rng), (), None))
     return out
 
 
@@ -381,7 +426,7 @@ def _candidate_events_4(state: ImmersionState4, rng) -> list[tuple]:
             "sphere-birth"),
            (TRIPLE4, 1, (), None),
            (QUADRUPLE4, 1, (), None),
-           (QUINTUPLE4, int(rng.choice((1, -1))), (), None)]
+           (QUINTUPLE4, _random_sign(rng), (), None)]
     spheres = [i for i, c in enumerate(comps) if c == surfaces.SPHERE]
     if spheres:
         out.append((TANGENCY4, -1, (spheres[rng.integers(0, len(spheres))],),
@@ -405,8 +450,9 @@ def random_paths(initial: State, events_per_path: int, n_paths: int,
                  seed: int = 0) -> Iterator[Path]:
     """Random event paths, every event applicable where it occurs.
 
-    Equal events and equal states drawn by one call are one shared record.
-    A negative count raises ValueError.
+    Equal events and equal states drawn by one call are one shared record,
+    and each (state, event) pair is applied once per call.  A negative
+    count raises ValueError.
     """
     if events_per_path < 0 or n_paths < 0:
         raise ValueError("events_per_path and n_paths must be non-negative")
@@ -415,6 +461,7 @@ def random_paths(initial: State, events_per_path: int, n_paths: int,
                   else _candidate_events_4)
     events_seen: dict[tuple, StratumEvent] = {}
     states_seen: dict[State, State] = {initial: initial}
+    applied: dict = {}
     for _ in range(n_paths):
         events, states = [], [initial]
         while len(events) < events_per_path:
@@ -423,9 +470,8 @@ def random_paths(initial: State, events_per_path: int, n_paths: int,
             event = events_seen.get(fields)
             if event is None:
                 event = events_seen[fields] = StratumEvent(*fields)
-            try:
-                state = apply(states[-1], event)
-            except InapplicableEventError:
+            state = _apply_once(applied, states[-1], event)
+            if state is _INAPPLICABLE:
                 continue
             events.append(event)
             states.append(states_seen.setdefault(state, state))
@@ -461,13 +507,30 @@ class CalculusReport:
                 f"({self.skipped} skipped): {word}")
 
 
-def _swap_kind(event: StratumEvent) -> StratumEvent:
-    swap = {ELLIPTIC_TANGENCY: HYPERBOLIC_TANGENCY,
-            HYPERBOLIC_TANGENCY: ELLIPTIC_TANGENCY}
-    if event.kind not in swap:
-        return event
-    return StratumEvent(swap[event.kind], event.sign, event.operand,
-                        event.detail)
+# degenerate self-tangencies identify the elliptic and hyperbolic branches
+_SWAPPED_KIND = {ELLIPTIC_TANGENCY: HYPERBOLIC_TANGENCY,
+                 HYPERBOLIC_TANGENCY: ELLIPTIC_TANGENCY}
+
+
+def _evaluate_once(invariant: Callable[[State], object]):
+    """The invariant, evaluated once per distinct state while it lives.
+
+    As in _apply_once, a state is looked up by identity, then by value.
+    """
+    by_id: dict[int, tuple] = {}
+    by_value: dict[State, object] = {}
+
+    def value(state: State):
+        hit = by_id.get(id(state))
+        if hit is None:
+            if state in by_value:
+                v = by_value[state]
+            else:
+                v = by_value[state] = invariant(state)
+            hit = by_id[id(state)] = (v, state)
+        return hit[0]
+
+    return value
 
 
 def verify_first_order(invariant: Callable[[State], int],
@@ -479,7 +542,12 @@ def verify_first_order(invariant: Callable[[State], int],
     amount depending on the wall alone, so the second difference must
     vanish.  Degenerate self-tangencies identify the elliptic and
     hyperbolic branches, so the jump must also be blind to that kind swap.
+    Within one call each (state, event) pair is applied once and the
+    invariant is evaluated once per distinct state.
     """
+    value = _evaluate_once(invariant)
+    applied: dict = {}
+    twins: dict[StratumEvent, StratumEvent] = {}
     checked = skipped = 0
     violations = []
     for path in paths:
@@ -488,22 +556,24 @@ def verify_first_order(invariant: Callable[[State], int],
             continue
         s0, s1, s12 = path._states[:3]
         e1, e2 = path.events[:2]
-        try:
-            s2 = apply(s0, e2)
-        except InapplicableEventError:
+        s2 = _apply_once(applied, s0, e2)
+        if s2 is _INAPPLICABLE:
             skipped += 1
             continue
         checked += 1
-        v0, v1 = invariant(s0), invariant(s1)
-        second = (invariant(s12) - v1) - (invariant(s2) - v0)
+        v0, v1 = value(s0), value(s1)
+        second = (value(s12) - v1) - (value(s2) - v0)
         if second != 0:
             violations.append(Violation(
                 path, f"second difference {second} across "
                       f"{e1.kind}/{e2.kind}"))
-        twin = _swap_kind(e1)
-        if twin is not e1:
+        if e1.kind in _SWAPPED_KIND:
+            twin = twins.get(e1)
+            if twin is None:
+                twin = twins[e1] = dataclasses.replace(
+                    e1, kind=_SWAPPED_KIND[e1.kind])
             jump = v1 - v0
-            twin_jump = invariant(apply(s0, twin)) - v0
+            twin_jump = value(_apply_once(applied, s0, twin)) - v0
             if jump != twin_jump:
                 violations.append(Violation(
                     path, f"tangency branches jump {jump} vs {twin_jump}"))
@@ -512,12 +582,16 @@ def verify_first_order(invariant: Callable[[State], int],
 
 def invariance_along_paths(invariant: Callable[[State], object],
                            paths: Iterable[Path]) -> CalculusReport:
-    """Check an invariant is constant along every path."""
+    """Check an invariant is constant along every path.
+
+    Within one call the invariant is evaluated once per distinct state.
+    """
+    value = _evaluate_once(invariant)
     checked = 0
     violations = []
     for path in paths:
         checked += 1
-        values = [invariant(s) for s in path.states()]
+        values = [value(s) for s in path.states()]
         for k in range(1, len(values)):
             if values[k] != values[0]:
                 violations.append(Violation(

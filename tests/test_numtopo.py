@@ -552,6 +552,22 @@ class TestLinkingEngines:
         with pytest.raises(ValueError):
             spherical_cone_link(a, b, CFG)
 
+    @pytest.mark.parametrize("retries", [5, 100])
+    def test_cone_tries_every_apex_retry(self, monkeypatch, retries):
+        # no apex is generic, so each of the apex_retries candidates is tried
+        tried = []
+
+        def never_generic(apex, *segments):
+            tried.append(apex)
+            return None
+
+        monkeypatch.setattr(numtopo, "_cone_crossings", never_generic)
+        a, b = self.coordinate_circles()
+        with pytest.raises(ArithmeticError, match="no generic apex"):
+            spherical_cone_link(a, b, CFG.replace(apex_retries=retries))
+        assert len(tried) == retries
+        assert len({tuple(z) for z in tried}) == retries
+
 
 class TestDegree:
     def frame_map(self, m):

@@ -266,16 +266,35 @@ def eager_random_paths(initial, events_per_path, n_paths, seed=0):
         yield Path(initial, tuple(events))
 
 
-@pytest.mark.parametrize("initial", [RICH5, BASE5, family_state("1/2"),
-                                     rp3_fixture()],
-                         ids=["RICH5", "BASE5", "family-1/2", "rp3"])
-@pytest.mark.parametrize("length", [2, 6])
-def test_random_paths_keep_the_eager_random_stream(initial, length):
+STREAM_STARTS = {"RICH5": RICH5, "BASE5": BASE5,
+                 "family-1/2": family_state("1/2"), "rp3": rp3_fixture()}
+# twelve walls from RICH5 reach the larger component counts
+STREAM_CASES = [(length, start) for length in (2, 6)
+                for start in STREAM_STARTS] + [(12, "RICH5")]
+
+
+@pytest.mark.parametrize("length,start", STREAM_CASES,
+                         ids=[f"{n}-{start}" for n, start in STREAM_CASES])
+def test_random_paths_keep_the_eager_random_stream(length, start):
+    initial = STREAM_STARTS[start]
     for seed in range(10):
         got = [p.to_json() for p in random_paths(initial, length, 30, seed)]
         want = [p.to_json()
                 for p in eager_random_paths(initial, length, 30, seed)]
         assert got == want, f"seed {seed}"
+
+
+def test_integer_draws_reproduce_rng_choice():
+    # random_paths draws with rng.integers only; a numpy whose choice
+    # consumes the stream differently fails here first
+    for n in range(2, 17):
+        for seed in range(100):
+            ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = tuple(int(v) for v in ref.choice(n, size=2,
+                                                    replace=False))
+            assert strata._distinct_pair(got, n) == want, (n, seed)
+            assert strata._random_sign(got) == int(ref.choice((1, -1)))
+            assert got.integers(0, 1 << 40) == ref.integers(0, 1 << 40)
 
 
 def test_random_paths_reject_negative_counts():
@@ -315,6 +334,107 @@ def test_verify_first_order_applies_at_most_twice_per_path(monkeypatch):
     report = verify_first_order(J, paths)
     assert report.ok and report.checked > 0
     assert 0 < calls <= 2 * len(paths)
+
+
+def record_apply_pairs(monkeypatch):
+    """Route strata.apply through a recorder of its (state, event) pairs."""
+    pairs = []
+    counted = strata.apply
+
+    def recording_apply(state, event):
+        pairs.append((state, event))
+        return counted(state, event)
+
+    monkeypatch.setattr(strata, "apply", recording_apply)
+    return pairs
+
+
+def test_verify_first_order_applies_each_pair_once(monkeypatch):
+    paths = list(paths5(300))
+    pairs = record_apply_pairs(monkeypatch)
+    report = verify_first_order(J, paths)
+    assert report.ok and report.checked > 0
+    assert pairs and len(pairs) == len(set(pairs))
+    # the memo lives for one call: a second sweep applies just as often
+    first = len(pairs)
+    assert verify_first_order(J, paths) == report
+    assert len(pairs) == 2 * first
+
+
+def test_random_paths_apply_each_pair_once_per_call(monkeypatch):
+    pairs = record_apply_pairs(monkeypatch)
+    first = [p.to_json() for p in random_paths(RICH5, 6, 200, seed=2)]
+    assert pairs and len(pairs) == len(set(pairs))
+    n = len(pairs)
+    assert [p.to_json() for p in random_paths(RICH5, 6, 200, seed=2)] == first
+    assert len(pairs) == 2 * n
+
+
+@pytest.mark.parametrize("initial", [RICH5, rp3_fixture()],
+                         ids=["5-space", "4-space"])
+def test_invariance_evaluates_once_per_state_record(initial):
+    paths = list(random_paths(initial, 6, 150, seed=8))
+    records = {id(s): s for p in paths for s in p.states()}
+    seen = []
+
+    def invariant(state):
+        seen.append(id(state))
+        return lambda_(state) if initial is RICH5 else mu(state)
+
+    for _ in range(2):
+        seen.clear()
+        report = invariance_along_paths(invariant, paths)
+        assert report.ok and report.checked == len(paths)
+        assert sorted(seen) == sorted(records)
+
+
+def reference_first_order(invariant, paths):
+    """Memo-free first-order check: every state applied and evaluated
+    afresh for every path."""
+    swap = {ELLIPTIC_TANGENCY: HYPERBOLIC_TANGENCY,
+            HYPERBOLIC_TANGENCY: ELLIPTIC_TANGENCY}
+    checked = skipped = 0
+    violations = []
+    for path in paths:
+        if len(path.events) < 2:
+            skipped += 1
+            continue
+        s0 = path.initial
+        e1, e2 = path.events[:2]
+        s1 = apply(s0, e1)
+        s12 = apply(s1, e2)
+        try:
+            s2 = apply(s0, e2)
+        except InapplicableEventError:
+            skipped += 1
+            continue
+        checked += 1
+        second = ((invariant(s12) - invariant(s1))
+                  - (invariant(s2) - invariant(s0)))
+        if second != 0:
+            violations.append((path, f"second difference {second} across "
+                                     f"{e1.kind}/{e2.kind}"))
+        if e1.kind in swap:
+            twin = StratumEvent(swap[e1.kind], e1.sign, e1.operand,
+                                e1.detail)
+            jump = invariant(s1) - invariant(s0)
+            twin_jump = invariant(apply(s0, twin)) - invariant(s0)
+            if jump != twin_jump:
+                violations.append(
+                    (path, f"tangency branches jump {jump} vs {twin_jump}"))
+    return checked, skipped, violations
+
+
+@pytest.mark.parametrize("label", ["J", "L", "St", "lk^2", "J^2"])
+def test_first_order_reports_match_a_memo_free_reference(label):
+    invariant = {"J": J, "L": L, "St": St, "lk^2": lambda s: s.lk ** 2,
+                 "J^2": lambda s: J(s) ** 2}[label]
+    paths = list(paths5(400))
+    checked, skipped, violations = reference_first_order(invariant, paths)
+    report = verify_first_order(invariant, paths)
+    assert (report.checked, report.skipped) == (checked, skipped)
+    assert [(v.path, v.description) for v in report.violations] == violations
+    assert bool(violations) == label.endswith("^2")
 
 
 def test_random_paths_share_equal_records_and_keep_them_frozen():
