@@ -282,7 +282,7 @@ def _strata_paths(args, config: Config):
     space = args.space if args.space is not None else (4 if needs4 else 5)
     if needs4 and space != 4:
         raise _CliError(2, "mu lives on 4-space states; use --space 4")
-    if not needs4 and args.invariant != "custom" and space != 5:
+    if not needs4 and space != 5:
         raise _CliError(2, f"{args.invariant} lives on 5-space states")
     if space == 4:
         initial = surfaces.rp3_fixture()

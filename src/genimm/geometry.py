@@ -190,13 +190,23 @@ class KinkParams:
     def from_config(config: Config) -> "KinkParams":
         return KinkParams(a=config.cap_a, r1=config.kink_r1, r2=config.kink_r2)
 
+    def chart(self, s, alpha, beta) -> np.ndarray:
+        """The point (s cos alpha, s sin alpha, zeta cos beta, zeta sin beta)
+        of M, zeta = profile_height(s), shape (..., 4); s in [0, 1].
+
+        The one chart of the whole domain.  On the flat cap s <= 2a the
+        blend weight is exactly 0, so zeta is exactly the cap height.
+        """
+        s, alpha, beta = (np.asarray(v, dtype=float) for v in (s, alpha, beta))
+        zeta = profile_height(s, self)
+        return np.stack([s * np.cos(alpha), s * np.sin(alpha),
+                         zeta * np.cos(beta), zeta * np.sin(beta)], axis=-1)
+
     def torus_chart(self, theta, r, phi) -> np.ndarray:
-        """Domain point of M for torus coordinates, shape (..., 4), any m."""
-        theta, r, phi = (np.asarray(v, dtype=float) for v in (theta, r, phi))
-        rad = r * self.a / np.pi
-        h = self.cap_height
-        return np.stack([rad * np.cos(phi), rad * np.sin(phi),
-                         h * np.cos(theta), h * np.sin(theta)], axis=-1)
+        """The chart on the kink disks: sweep angle theta, disk radius
+        r a / pi with r in [0, pi], disk angle phi; any m."""
+        return self.chart(np.asarray(r, dtype=float) * self.a / np.pi, phi,
+                          theta)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -234,6 +244,38 @@ def profile_height(s, params: KinkParams):
     round_part = np.sqrt(np.clip(1 - np.minimum(s, 1.0)**2, 0.0, None))
     sigma = smooth_step((s - 2 * params.a) / (2 * params.a))
     return (1 - sigma) * h + sigma * round_part
+
+
+def radial_point(x, params: KinkParams) -> np.ndarray:
+    """The point of M on the ray through each x, shape (..., 4).
+
+    M is star shaped: s / zeta(s) increases strictly on [0, 1], so the ray
+    through x meets M once, at the chart point with the angles of x and
+    s / zeta(s) = |(x1, x2)| / |(x3, x4)|.  That s is h |(x1, x2)| /
+    |(x3, x4)| on the flat cap s <= 2a and |(x1, x2)| / |x| on the round
+    part s >= 4a; in the blend annulus between it is the end of a 60-step
+    bisection, which pins it to rounding.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.hypot(x[..., 0], x[..., 1])
+    t = np.hypot(x[..., 2], x[..., 3])
+    a, h = params.a, params.cap_height
+    cap = p * h <= 2 * a * t
+    outer = ~cap & (p * np.sqrt(1 - 16 * a**2) >= 4 * a * t)
+    blend = ~(cap | outer)
+    s = np.empty_like(p)
+    s[cap] = h * p[cap] / t[cap]
+    s[outer] = p[outer] / np.hypot(p[outer], t[outer])
+    p, t = p[blend], t[blend]
+    lo, hi = np.full_like(p, 2 * a), np.full_like(p, 4 * a)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = mid * t < profile_height(mid, params) * p
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    s[blend] = 0.5 * (lo + hi)
+    return params.chart(s, np.arctan2(x[..., 1], x[..., 0]),
+                        np.arctan2(x[..., 3], x[..., 2]))
 
 
 def domain_constraint(x, params: KinkParams):
@@ -308,15 +350,6 @@ class FamilyMap:
     def torus_eval(self, theta, r, phi) -> np.ndarray:
         return self.ambient_eval(self.params.torus_chart(theta, r, phi))
 
-    def exterior_point(self, theta, s, chi) -> np.ndarray:
-        """Domain point outside the solid torus: planar radius s >= a."""
-        theta = np.asarray(theta, dtype=float)
-        s = np.asarray(s, dtype=float)
-        chi = np.asarray(chi, dtype=float)
-        zeta = profile_height(s, self.params)
-        return np.stack([s * np.cos(chi), s * np.sin(chi),
-                         zeta * np.cos(theta), zeta * np.sin(theta)], axis=-1)
-
     def eval(self, p) -> np.ndarray:
         """Evaluate at a TorusPoint or at an ambient 5-vector on the domain."""
         if isinstance(p, TorusPoint):
@@ -361,11 +394,8 @@ class FamilyMap:
         m theta + offset, offset in {0, pi}.
         """
         theta = np.asarray(theta, dtype=float)
-        c = self.params.kink_scale
-        h = self.params.cap_height
-        phi = self.m.value * theta + offset
-        return np.stack([c * np.cos(phi), c * np.sin(phi),
-                         h * np.cos(theta), h * np.sin(theta)], axis=-1)
+        return self.params.chart(np.full_like(theta, self.params.kink_scale),
+                                 self.m.value * theta + offset, theta)
 
     def preimage_components(self, n: int | None = None) -> list[np.ndarray]:
         """Closed preimage curves in domain R^4.

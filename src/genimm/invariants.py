@@ -278,9 +278,10 @@ def first_column_degree(m, config: Config = DEFAULT) -> numtopo.SignedCount:
 def second_column_hopf(config: Config = DEFAULT) -> int:
     """Hopf invariant v of the second frame column, by fibers.
 
-    column_n1 and the torus chart take no m, so v is one value for every
-    member.  The fibers over the poles (0, 0, +-1) are traced in torus
-    coordinates and carried onto the domain by the chart.  Closed form: -1.
+    column_n1 and the domain chart take no m, so v is one value for every
+    member.  The fibers over the poles (0, 0, +-1) are traced on the
+    (theta, r, phi) box and carried onto the domain by torus_chart, the
+    chart KinkParams.chart on the kink disks.  Closed form: -1.
     """
     chart = KinkParams.from_config(config).torus_chart
     return numtopo.hopf_invariant(

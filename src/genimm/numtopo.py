@@ -1,9 +1,12 @@
 """Numerical topology: linking numbers, degrees, Hopf invariants, curve solving.
 
-The engines here are chart free.  Curves produced elsewhere in the package
-live on a closed hypersurface in R^4 that is star shaped about the origin,
-so each curve is faithfully described by the rays through its points and can
-be normalized onto the unit 3-sphere whenever a common reference is needed.
+The family's domain is a closed hypersurface M in R^4, star shaped about
+the origin, with one closed-form chart, geometry.KinkParams.chart.  The
+box engines work on its kink disks, the (theta, r, phi) box of torus_chart;
+the curtain engine puts its random start sample on M ray by ray through the
+chart (geometry.radial_point).  A curve on M is faithfully described by the
+rays through its points and can be normalized onto the unit 3-sphere
+whenever a common reference is needed.
 Linking numbers of curve pairs have three engines.  After a stereographic
 projection to R^3, gauss_link sums the solid angles of the Gauss map over
 all segment pairs exactly, and crossing_link counts the signed crossings of
@@ -51,7 +54,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .config import Config, DEFAULT
-from .geometry import domain_constraint, fd_jacobian
+from .geometry import domain_constraint, fd_jacobian, radial_point
 
 
 class NonRegularValueError(RuntimeError):
@@ -910,47 +913,23 @@ class _DegenerateChain(Exception):
     near-tangential."""
 
 
-def _star_project(directions, constraint):
-    """Radially project unit 4-vectors onto the star-shaped level {G = 0}.
-
-    Fixed-point iteration on the scale: for a unit direction d and scale s,
-    G(s d) = s^2 - R(s d)^2 with R the target radius, so s <- sqrt(s^2 - G)
-    converges for profiles whose radius varies slowly along rays.  Each row
-    stops on its own once its scale moves by less than 1e-13, so a row's
-    result does not depend on the other rows of the batch.
-    """
-    d = _unit(np.asarray(directions, dtype=float))
-    lam = np.ones(len(d))
-    active = np.arange(len(d))
-    for _ in range(80):
-        cur = lam[active]
-        step = np.sqrt(np.maximum(
-            cur**2 - constraint(cur[:, None] * d[active]), 1e-12))
-        lam[active] = step
-        active = active[~(np.abs(step - cur) < 1e-13)]
-        if len(active) == 0:
-            return lam[:, None] * d
-    raise NonRegularValueError("star projection onto the domain did not "
-                               "converge in 80 iterations; the domain is "
-                               "not star shaped enough for the chain seeds")
-
-
-def _seeds_near_chain(chain_tree, image, constraint, config: Config,
+def _seeds_near_chain(chain_tree, image, params, config: Config,
                       extra=None):
     """Domain points whose images come near the chain, by ray refinement.
 
     image(x) maps (N, 4) domain points into the space of chain_tree.
-    Starts from a quasi-uniform radial sample of the domain hypersurface
-    and keeps jitter-refining the points whose images approach the chain.
+    Starts from 60,000 normal draws put on the domain hypersurface by
+    geometry.radial_point, the closed-form chart point on each ray, and
+    keeps jitter-refining the points whose images approach the chain.
     Each round keeps the points within its radius of the chain, adds fan
-    jittered copies of each, and draws at most 150,000 points from the kept
-    points and their copies; only the copies that are drawn are star
-    projected back onto the domain.  Returns None when nothing comes near at the coarse
-    scale, which rules out any crossing at the sampling resolution used by
-    the caller.
+    copies of each jittered in R^4, and draws at most 150,000 points from
+    the kept points and their copies; only the copies that are drawn are
+    put back on the domain by radial_point.  Returns None when nothing
+    comes near at the coarse scale, which rules out any crossing at the
+    sampling resolution used by the caller.
     """
     rng = np.random.default_rng(config.seed + 5)
-    pts = _star_project(rng.normal(size=(60000, 4)), constraint)
+    pts = radial_point(rng.normal(size=(60000, 4)), params)
     if extra is not None and len(extra):
         pts = np.concatenate([pts, np.asarray(extra, dtype=float)])
     for radius, jitter, fan in ((0.25, 0.06, 8),
@@ -971,7 +950,7 @@ def _seeds_near_chain(chain_tree, image, constraint, config: Config,
         copy = pick >= len(keep)
         pts = np.empty((len(pick), 4))
         pts[~copy] = keep[pick[~copy]]
-        pts[copy] = _star_project(reps[pick[copy] - len(keep)], constraint)
+        pts[copy] = radial_point(reps[pick[copy] - len(keep)], params)
     return pts
 
 
@@ -1075,7 +1054,8 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
     chain used here is the curtain {K(s) + lambda d : lambda >= 0} that K
     sweeps along a unit direction d, the cone over K from the point at
     infinity in direction d.  Seeds are the points of a random domain
-    sample joined to the kink-disk grid of solve_self_intersection
+    sample, put on the domain through its chart by geometry.radial_point,
+    joined to the kink-disk grid of solve_self_intersection
     (config.double_seed_rings rings) whose images, refined, lie within
     0.025 of K once both are projected along d.  Each crossing, solved on
     the segment of its seed or its neighbour, is signed by
@@ -1115,7 +1095,7 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
         tree = cKDTree(_flatten(samples, d))
         seeds = _seeds_near_chain(
             tree, lambda x: _flatten(manifold.ambient_eval(x), d),
-            constraint, config, extra=grid)
+            manifold.params, config, extra=grid)
         if seeds is None or len(seeds) == 0:
             return 0
         img = manifold.ambient_eval(seeds)

@@ -507,11 +507,6 @@ class CalculusReport:
                 f"({self.skipped} skipped): {word}")
 
 
-# degenerate self-tangencies identify the elliptic and hyperbolic branches
-_SWAPPED_KIND = {ELLIPTIC_TANGENCY: HYPERBOLIC_TANGENCY,
-                 HYPERBOLIC_TANGENCY: ELLIPTIC_TANGENCY}
-
-
 def _evaluate_once(invariant: Callable[[State], object]):
     """The invariant, evaluated once per distinct state while it lives.
 
@@ -540,14 +535,14 @@ def verify_first_order(invariant: Callable[[State], int],
     For every two-event path the jump of the second wall is compared at the
     base state and after the first wall: first-order invariants jump by an
     amount depending on the wall alone, so the second difference must
-    vanish.  Degenerate self-tangencies identify the elliptic and
-    hyperbolic branches, so the jump must also be blind to that kind swap.
-    Within one call each (state, event) pair is applied once and the
-    invariant is evaluated once per distinct state.
+    vanish.  A state does not record whether a self-tangency was elliptic
+    or hyperbolic, so both branches of a tangency wall reach the same state
+    and need no check of their own.  Within one call each (state, event)
+    pair is applied once and the invariant is evaluated once per distinct
+    state.
     """
     value = _evaluate_once(invariant)
     applied: dict = {}
-    twins: dict[StratumEvent, StratumEvent] = {}
     checked = skipped = 0
     violations = []
     for path in paths:
@@ -561,22 +556,11 @@ def verify_first_order(invariant: Callable[[State], int],
             skipped += 1
             continue
         checked += 1
-        v0, v1 = value(s0), value(s1)
-        second = (value(s12) - v1) - (value(s2) - v0)
+        second = (value(s12) - value(s1)) - (value(s2) - value(s0))
         if second != 0:
             violations.append(Violation(
                 path, f"second difference {second} across "
                       f"{e1.kind}/{e2.kind}"))
-        if e1.kind in _SWAPPED_KIND:
-            twin = twins.get(e1)
-            if twin is None:
-                twin = twins[e1] = dataclasses.replace(
-                    e1, kind=_SWAPPED_KIND[e1.kind])
-            jump = v1 - v0
-            twin_jump = value(_apply_once(applied, s0, twin)) - v0
-            if jump != twin_jump:
-                violations.append(Violation(
-                    path, f"tangency branches jump {jump} vs {twin_jump}"))
     return CalculusReport(checked, skipped, tuple(violations))
 
 

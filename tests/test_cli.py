@@ -317,6 +317,20 @@ def test_strata_space_mismatch_rejected(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify", "--invariant", "custom", "--affine", "0,0,0", "--space", "4"),
+    ("invariance", "--invariant", "custom", "--affine", "2,-1,3",
+     "--space", "4"),
+    ("verify", "--invariant", "J", "--space", "4"),
+    ("invariance", "--invariant", "lambda", "--space", "4"),
+])
+def test_strata_5_space_invariants_reject_4_space_paths(capsys, argv):
+    code, out, err = run(capsys, "strata", *argv)
+    assert code == 2
+    assert out == ""
+    assert "5-space" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("verify", "--events", "1"),
     ("verify", "--events", "-2"),
     ("verify", "--paths", "0"),

@@ -10,7 +10,8 @@ from genimm.geometry import (FamilyMap, HalfInteger, KinkParams, TorusPoint,
                              column_n1_jacobian, domain_constraint,
                              fd_jacobian, frame_columns, frame_defect,
                              profile_height, quat_mul, quaternion_frame,
-                             smooth_step, whitney_kink, whitney_kink_jacobian)
+                             radial_point, smooth_step, whitney_kink,
+                             whitney_kink_jacobian)
 
 RNG = np.random.default_rng(20240812)
 
@@ -171,10 +172,64 @@ def test_domain_constraint_sign():
     theta = RNG.uniform(0, 2 * np.pi, 200)
     s = RNG.uniform(0, 1, 200)
     chi = RNG.uniform(0, 2 * np.pi, 200)
-    pts = fam.exterior_point(theta, np.maximum(s, p.a), chi)
+    pts = p.chart(np.maximum(s, p.a), chi, theta)
     assert np.max(np.abs(domain_constraint(pts, p))) < 1e-12
     assert np.all(domain_constraint(0.9 * pts, p) < 0)
     assert np.all(domain_constraint(1.1 * pts, p) > 0)
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.05, 0.1, 0.15, 0.2, 0.24, 0.2499])
+def test_domain_is_star_shaped(a):
+    # s / zeta(s) strictly increasing on [0, 1], so each ray meets M once;
+    # radial_point rests on this
+    p = KinkParams(a=a)
+    s = np.linspace(0.0, 1.0, 200001)
+    zeta = profile_height(s, p)
+    assert np.all(s[:-1] * zeta[1:] < s[1:] * zeta[:-1])
+
+
+def test_radial_point_returns_chart_points():
+    p = KinkParams()
+    rng = np.random.default_rng(22)
+    s = np.concatenate([rng.uniform(0, 2 * p.a, 100),
+                        rng.uniform(2 * p.a, 4 * p.a, 100),
+                        rng.uniform(4 * p.a, 1, 100)])
+    alpha = rng.uniform(-np.pi, np.pi, 300)
+    beta = rng.uniform(-np.pi, np.pi, 300)
+    pts = p.chart(s, alpha, beta)
+    for scale in (0.3, 1.0, 2.5):
+        assert np.allclose(radial_point(scale * pts, p), pts,
+                           rtol=0, atol=1e-14)
+    # each row is mapped on its own, whatever else is in the batch
+    sub = rng.choice(300, 90, replace=False)
+    assert np.array_equal(radial_point(2 * pts[sub], p),
+                          radial_point(2 * pts, p)[sub])
+
+
+def test_radial_point_of_rays_in_a_coordinate_plane():
+    # no nan and no RuntimeWarning, which pytest turns into an error
+    p = KinkParams()
+    angle = np.linspace(-np.pi, np.pi, 20)
+    zero = np.zeros(20)
+    ring = 2 * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    x34 = radial_point(np.concatenate([0 * ring, ring], axis=1), p)
+    assert np.allclose(x34, p.chart(zero, zero, angle), rtol=0, atol=1e-15)
+    x12 = radial_point(np.concatenate([ring, 0 * ring], axis=1), p)
+    assert np.allclose(x12, p.chart(zero + 1, angle, zero), rtol=0,
+                       atol=1e-15)
+
+
+def test_torus_chart_is_the_chart_on_the_cap():
+    # on the flat cap zeta is the cap height exactly, so the kink-disk
+    # grids keep their bytes
+    p = KinkParams()
+    rng = np.random.default_rng(23)
+    theta, phi = rng.uniform(0, 2 * np.pi, (2, 50))
+    r = rng.uniform(0, np.pi, 50)
+    rad, h = r * p.a / np.pi, p.cap_height
+    assert np.array_equal(p.torus_chart(theta, r, phi), np.stack(
+        [rad * np.cos(phi), rad * np.sin(phi),
+         h * np.cos(theta), h * np.sin(theta)], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +246,7 @@ def test_family_fixes_exterior():
     theta = RNG.uniform(0, 2 * np.pi, 100)
     s = RNG.uniform(fam.params.a, 1.0, 100)
     chi = RNG.uniform(0, 2 * np.pi, 100)
-    pts = fam.exterior_point(theta, s, chi)
+    pts = fam.params.chart(s, chi, theta)
     out = fam.ambient_eval(pts)
     assert np.allclose(out[:, :4], pts, atol=1e-14)
     assert np.allclose(out[:, 4], 0.0)

@@ -13,7 +13,8 @@ from scipy.spatial import cKDTree
 from genimm.config import Config
 from genimm.geometry import (FamilyMap, HalfInteger, classical_hopf,
                              column_m1, column_m1_jacobian, column_n1,
-                             column_n1_jacobian, domain_constraint, quat_mul)
+                             column_n1_jacobian, domain_constraint, quat_mul,
+                             radial_point)
 from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             crossing_link, degree_S3, gauss_link,
                             gauss_link_raw,
@@ -24,7 +25,7 @@ from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             stereographic, stereographic_basis)
 from genimm import invariants, numtopo
 from genimm.numtopo import (_DEDUPE_RADIUS, _dedupe, _newton, _periodic_key,
-                            _seeds_near_chain, _star_project)
+                            _seeds_near_chain)
 
 CFG = Config()
 
@@ -1005,38 +1006,6 @@ class TestDedupe:
         assert keep.tolist() == [0, 1, 3, 4]
 
 
-class TestStarProjection:
-    def test_projects_onto_the_round_sphere(self):
-        d = np.random.default_rng(3).normal(size=(50, 4))
-        pts = _star_project(d, lambda x: (x * x).sum(axis=-1) - 1.0)
-        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
-
-    def test_unsettled_scale_raises(self):
-        # G = -1 everywhere: the scale grows like sqrt(1 + k), never settling
-        d = np.random.default_rng(3).normal(size=(5, 4))
-        with pytest.raises(NonRegularValueError, match="star projection"):
-            _star_project(d, lambda x: np.full(x.shape[:-1], -1.0))
-
-    def test_rows_do_not_depend_on_the_batch(self):
-        # G = |x|^2 - 1 - 0.6 x1^2: along a unit ray d the scale settles in
-        # one step where d1 = 0 and at rate 0.6 d1^2 elsewhere
-        sizes = []
-
-        def level(x):
-            sizes.append(len(x))
-            return (x * x).sum(axis=-1) - 1.0 - 0.6 * x[..., 0]**2
-
-        d = np.random.default_rng(4).normal(size=(400, 4))
-        d[::3, 0] = 0.0
-        whole = _star_project(d, level)
-        assert len(set(sizes)) > 10      # rows settled at many iterations
-        d1 = d[:, 0] / np.linalg.norm(d, axis=1)
-        assert np.allclose(np.linalg.norm(whole, axis=1),
-                           1 / np.sqrt(1 - 0.6 * d1**2), atol=1e-12)
-        sub = np.random.default_rng(5).choice(400, 90, replace=False)
-        assert np.array_equal(_star_project(d[sub], level), whole[sub])
-
-
 def _seeds_near_chain_reference(chain_tree, manifold, constraint, config):
     """The chain seed search as first written: unbounded queries, every
     jittered copy projected with a batch-wide stopping rule, then the
@@ -1082,11 +1051,11 @@ def test_seeds_near_chain_matches_the_project_everything_search():
                        np.linspace(0, 2 * np.pi, 60, endpoint=False))
     torus = np.stack([np.cos(a), np.sin(a), np.cos(b), np.sin(b)], axis=-1)
     tree = cKDTree(fam.ambient_eval(
-        _star_project(torus.reshape(-1, 4), constraint)))
+        radial_point(torus.reshape(-1, 4), fam.params)))
     ref, capped = _seeds_near_chain_reference(tree, fam, constraint, CFG)
     assert capped == [True, True]
     assert len(ref) > 10000
-    seeds = _seeds_near_chain(tree, fam.ambient_eval, constraint, CFG)
+    seeds = _seeds_near_chain(tree, fam.ambient_eval, fam.params, CFG)
     assert seeds.shape == ref.shape
     assert np.allclose(seeds, ref, rtol=0, atol=1e-12)
 

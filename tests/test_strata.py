@@ -391,8 +391,6 @@ def test_invariance_evaluates_once_per_state_record(initial):
 def reference_first_order(invariant, paths):
     """Memo-free first-order check: every state applied and evaluated
     afresh for every path."""
-    swap = {ELLIPTIC_TANGENCY: HYPERBOLIC_TANGENCY,
-            HYPERBOLIC_TANGENCY: ELLIPTIC_TANGENCY}
     checked = skipped = 0
     violations = []
     for path in paths:
@@ -414,14 +412,6 @@ def reference_first_order(invariant, paths):
         if second != 0:
             violations.append((path, f"second difference {second} across "
                                      f"{e1.kind}/{e2.kind}"))
-        if e1.kind in swap:
-            twin = StratumEvent(swap[e1.kind], e1.sign, e1.operand,
-                                e1.detail)
-            jump = invariant(s1) - invariant(s0)
-            twin_jump = invariant(apply(s0, twin)) - invariant(s0)
-            if jump != twin_jump:
-                violations.append(
-                    (path, f"tangency branches jump {jump} vs {twin_jump}"))
     return checked, skipped, violations
 
 
@@ -498,11 +488,25 @@ def test_squared_linking_is_not_first_order():
 
 
 def test_elliptic_and_hyperbolic_branches_jump_alike():
-    swap = verify_first_order(J, paths5(300))
-    assert swap.ok
     e = StratumEvent(ELLIPTIC_TANGENCY, 1, (), "birth")
     h = StratumEvent(HYPERBOLIC_TANGENCY, 1, (), "birth")
     assert J(apply(RICH5, e)) == J(apply(RICH5, h))
+
+
+def test_a_state_does_not_record_the_tangency_branch():
+    # verify_first_order compares no elliptic and hyperbolic twins: both
+    # branches of a tangency wall reach one state.  A state that records
+    # the branch fails here, and the check then needs its twin comparison.
+    swap = {ELLIPTIC_TANGENCY: HYPERBOLIC_TANGENCY,
+            HYPERBOLIC_TANGENCY: ELLIPTIC_TANGENCY}
+    tangencies = 0
+    for path in paths5(400):
+        for state, event in zip(path.states(), path.events):
+            if event.kind in swap:
+                tangencies += 1
+                twin = dataclasses.replace(event, kind=swap[event.kind])
+                assert apply(state, event) == apply(state, twin)
+    assert tangencies > 500
 
 
 def test_lambda_is_invariant_along_paths():
