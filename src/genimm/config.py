@@ -3,12 +3,12 @@
 Every field here is read by some engine, and a config file naming a key
 that is not a field is rejected.  Some engines still hard-code
 constants: the 0.35/0.2 grid thresholds of ``numtopo._box_preimages``,
-the 1e-6 dedupe radius of converged solutions, the 0.25/0.08/0.025 chain
-seed radii and the 60,000-point start and 150,000-point draws of the
-chain seed search, the 60 bisection steps of ``geometry.radial_point``
-in the blend annulus, the 13-neighbour query of the double-curve seed grid,
-the 1e-5 vertex margin and the 0.06 tilt from e5 of the curtain
-directions of ``numtopo.link_1cycle_3manifold``, the 1e-6 vertex and
+the 1e-6 dedupe radius of converged solutions, the 60 bisection steps
+of ``geometry.radial_point`` in the blend annulus, the 13-neighbour
+query of the double-curve seed grid, the 0.08 projected distance within
+which a kink-disk grid point seeds a curtain crossing, the 1e-5 vertex
+margin and the 0.06 tilt from e5 of the curtain directions of
+``numtopo.link_1cycle_3manifold``, the 1e-6 vertex and
 parallel margin of the projected crossings of ``numtopo.crossing_link``,
 the 8e-3 framing shift, the 6 step halvings of the batched Newton
 ``numtopo._newton``, the 1% by which the curve tracer's coarse step

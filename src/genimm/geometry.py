@@ -302,11 +302,10 @@ def _rot2(c, s, u, v):
 class FamilyMap:
     """One member of the immersion family, evaluated in closed form."""
 
-    def __init__(self, m, params: KinkParams | None = None,
-                 config: Config = DEFAULT):
+    def __init__(self, m, config: Config = DEFAULT):
         self.m = HalfInteger.parse(m)
         self.config = config
-        self.params = params or KinkParams.from_config(config)
+        self.params = KinkParams.from_config(config)
 
     # -- evaluation ---------------------------------------------------------
 

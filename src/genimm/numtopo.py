@@ -3,7 +3,7 @@
 The family's domain is a closed hypersurface M in R^4, star shaped about
 the origin, with one closed-form chart, geometry.KinkParams.chart.  The
 box engines work on its kink disks, the (theta, r, phi) box of torus_chart;
-the curtain engine puts its random start sample on M ray by ray through the
+the curtain engine seeds its flat crossings on M ray by ray through the
 chart (geometry.radial_point).  A curve on M is faithfully described by the
 rays through its points and can be normalized onto the unit 3-sphere
 whenever a common reference is needed.
@@ -20,8 +20,12 @@ crossing_link.  A closed curve K in R^5 is linked with an immersed
 3-sphere by link_1cycle_3manifold, which counts the signed crossings of
 the image through the curtain {K(s) + lambda d : lambda >= 0} that K
 sweeps along a direction d near e5, drawing a new direction when a
-crossing is not generic.  One kink-disk grid, _kink_disk_grid, seeds both
-5-space solvers: the double-curve pairs and the curtain crossings.  One
+crossing is not generic.  Its Newton rows move along the whole curve on
+one continuous parameter, and its seeds rest on the two pieces of the
+image: one per vertex where the vertex's curtain line meets the flat
+part R^4 x {0}, and the kink-disk grid on the spun kink.  One kink-disk
+grid, _kink_disk_grid, seeds both 5-space solvers: the double-curve
+pairs and the curtain crossings.  One
 box finder, _box_preimages, seeds both box solvers from the
 config.degree_grid grid: the preimages that degree_S3 counts and the
 fibers that hopf_invariant traces.
@@ -913,47 +917,6 @@ class _DegenerateChain(Exception):
     near-tangential."""
 
 
-def _seeds_near_chain(chain_tree, image, params, config: Config,
-                      extra=None):
-    """Domain points whose images come near the chain, by ray refinement.
-
-    image(x) maps (N, 4) domain points into the space of chain_tree.
-    Starts from 60,000 normal draws put on the domain hypersurface by
-    geometry.radial_point, the closed-form chart point on each ray, and
-    keeps jitter-refining the points whose images approach the chain.
-    Each round keeps the points within its radius of the chain, adds fan
-    copies of each jittered in R^4, and draws at most 150,000 points from
-    the kept points and their copies; only the copies that are drawn are
-    put back on the domain by radial_point.  Returns None when nothing
-    comes near at the coarse scale, which rules out any crossing at the
-    sampling resolution used by the caller.
-    """
-    rng = np.random.default_rng(config.seed + 5)
-    pts = radial_point(rng.normal(size=(60000, 4)), params)
-    if extra is not None and len(extra):
-        pts = np.concatenate([pts, np.asarray(extra, dtype=float)])
-    for radius, jitter, fan in ((0.25, 0.06, 8),
-                                (0.08, 0.02, 6),
-                                (0.025, None, 0)):
-        # farther points come back as inf, and only dist < radius is read
-        dist = chain_tree.query(image(pts), distance_upper_bound=radius)[0]
-        keep = pts[dist < radius]
-        if jitter is None:
-            return keep
-        if len(keep) == 0:
-            return None
-        reps = np.repeat(keep, fan, axis=0)
-        reps = reps + rng.normal(size=reps.shape) * jitter
-        pick = np.arange(len(keep) + len(reps))
-        if len(pick) > 150000:
-            pick = rng.choice(len(pick), 150000, replace=False)
-        copy = pick >= len(keep)
-        pts = np.empty((len(pick), 4))
-        pts[~copy] = keep[pick[~copy]]
-        pts[copy] = radial_point(reps[pick[copy] - len(keep)], params)
-    return pts
-
-
 def _flatten(points, d):
     """Points projected along the unit vector d onto its normal hyperplane."""
     return points - (points @ d)[..., None] * d
@@ -963,74 +926,66 @@ def _curtain_crossings(verts, d, seg, manifold, constraint, seeds, img,
                        config: Config) -> int:
     """Signed count of image crossings through the curtain over a polyline.
 
-    Seed i, with image img[i], is paired with segment A B = verts[seg[i]],
-    verts[seg[i] + 1] and started at its projected foot point: u clipped to
-    [0, 1] and lambda the height of its image above A + u (B - A) along d.
-    The 6 x 6 system f(x) = A + u (B - A) + lambda d, G(x) = 0 is solved by
-    _newton to config.newton_tol, and once more on the neighbouring segment
-    for rows that converge with u in [-1, 0) or [1, 2).  Converged rows
-    with lambda > 0 and u in (0, 1) are deduplicated and signed.  A
-    crossing within 1e-5 in u of a vertex or failing the transversality
-    threshold raises _DegenerateChain so the caller can draw a new
-    direction.  A converged row on the curve itself
-    (|lambda| < config.min_image_separation) raises ValueError.
+    Each row carries one continuous curve parameter u in [0, n) with
+    K(u) = verts[i] + frac(u) E[i], i = floor(u) mod n and E[i] the edge
+    from verts[i] to the next vertex, so a row may cross segment ends as
+    it converges.  Seed k, with image img[k], starts on segment seg[k] at
+    its projected foot point: u = seg[k] plus the foot clipped to [0, 1],
+    and lambda the height of its image above K(u) along d.  The 6 x 6
+    system f(x) = K(u) + lambda d, G(x) = 0, whose u column is -E[i], is
+    solved by _newton to config.newton_tol.  A converged row on the curve
+    itself (|lambda| < config.min_image_separation) raises ValueError.
+    Converged rows with lambda > 0 are deduplicated and signed with the
+    edge of their segment; one within 1e-5 in frac(u) of a vertex or
+    failing the transversality threshold raises _DegenerateChain so the
+    caller can draw a new direction.
     """
     edge = 1e-5
-    nxt = np.roll(verts, -1, axis=0)
+    n = len(verts)
+    E = np.roll(verts, -1, axis=0) - verts
 
-    def solve(x, img, seg):
-        A, E = verts[seg], nxt[seg] - verts[seg]
-        flat_e = _flatten(E, d)
-        u0 = np.clip(np.einsum("ij,ij->i", img - A, flat_e)
-                     / np.einsum("ij,ij->i", flat_e, flat_e), 0.0, 1.0)
-        lam0 = (img - A - u0[:, None] * E) @ d
+    def split(u):
+        i = np.floor(u)
+        return i.astype(int) % n, u - i
 
-        def residual(zz, rows):
-            F = np.empty((len(zz), 6))
-            F[:, :5] = (manifold.ambient_eval(zz[:, :4]) - A[rows]
-                        - zz[:, 4, None] * E[rows] - zz[:, 5, None] * d)
-            F[:, 5] = constraint(zz[:, :4])
-            return F
+    flat_e = _flatten(E[seg], d)
+    foot = np.clip(np.einsum("ij,ij->i", img - verts[seg], flat_e)
+                   / np.einsum("ij,ij->i", flat_e, flat_e), 0.0, 1.0)
+    lam0 = (img - verts[seg] - foot[:, None] * E[seg]) @ d
 
-        def jacobian(zz, rows):
-            x = zz[:, :4]
-            J = np.zeros((len(zz), 6, 6))
-            J[:, :5, :4] = manifold.ambient_jacobian(x)
-            J[:, 5, :4] = fd_jacobian(constraint, x, config.fd_step)
-            J[:, :5, 4] = -E[rows]
-            J[:, :5, 5] = -d
-            return J
+    def residual(zz, _rows):
+        i, t = split(zz[:, 4])
+        F = np.empty((len(zz), 6))
+        F[:, :5] = (manifold.ambient_eval(zz[:, :4]) - verts[i]
+                    - t[:, None] * E[i] - zz[:, 5, None] * d)
+        F[:, 5] = constraint(zz[:, :4])
+        return F
 
-        return _newton(np.column_stack([x, u0, lam0]), residual, jacobian,
-                       config.newton_tol, config)
+    def jacobian(zz, _rows):
+        x = zz[:, :4]
+        J = np.zeros((len(zz), 6, 6))
+        J[:, :5, :4] = manifold.ambient_jacobian(x)
+        J[:, 5, :4] = fd_jacobian(constraint, x, config.fd_step)
+        J[:, :5, 4] = -E[split(zz[:, 4])[0]]
+        J[:, :5, 5] = -d
+        return J
 
-    z, conv = solve(seeds, img, seg)
-    # u in [-1, 0) or [1, 2): the row solved its segment's line past an end
-    hop = np.floor(z[:, 4]).astype(int)
-    move = conv & (np.abs(hop) == 1)
-    seg = (seg + move * hop) % len(verts)
-    x = z[move, :4]
-    z[move], conv[move] = solve(x, manifold.ambient_eval(x), seg[move])
-    E = nxt[seg] - verts[seg]
-    # a solution on the segment (lambda ~ 0) is an image point on the curve
-    if np.any(conv & (np.abs(z[:, 5]) < config.min_image_separation)
-              & (z[:, 4] > -edge) & (z[:, 4] < 1 + edge)):
+    z, conv = _newton(np.column_stack([seeds, seg + foot, lam0]), residual,
+                      jacobian, config.newton_tol, config)
+    # every u is a curve point, so a row at lambda ~ 0 is an image point on
+    # the curve
+    if np.any(conv & (np.abs(z[:, 5]) < config.min_image_separation)):
         raise ValueError("curve passes too close to the image to link")
-    ahead = conv & (z[:, 5] > 0)
-    z, E = z[ahead], E[ahead]
-    u = z[:, 4]
-    if np.any((np.abs(u) < edge) | (np.abs(u - 1.0) < edge)):
+    z = z[conv & (z[:, 5] > 0)]
+    i, t = split(z[:, 4])
+    if np.any((t < edge) | (t > 1.0 - edge)):
         raise _DegenerateChain("crossing near a vertex")
-    inside = (u > 0) & (u < 1)
-    z, E = z[inside], E[inside]
-    if len(z) == 0:
-        return 0
 
     total = 0
     for k in _dedupe(z[:, :4], _DEDUPE_RADIUS):
         x = z[k, :4]
         nu = manifold.ambient_jacobian(x)
-        D = np.column_stack([E[k], d,
+        D = np.column_stack([E[i[k]], d,
                              nu @ positive_tangent_basis(constraint, x,
                                                          config)])
         val = np.linalg.det(D)
@@ -1053,55 +1008,67 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
     crossings of the image through any 2-chain bounding the curve; the
     chain used here is the curtain {K(s) + lambda d : lambda >= 0} that K
     sweeps along a unit direction d, the cone over K from the point at
-    infinity in direction d.  Seeds are the points of a random domain
-    sample, put on the domain through its chart by geometry.radial_point,
-    joined to the kink-disk grid of solve_self_intersection
-    (config.double_seed_rings rings) whose images, refined, lie within
-    0.025 of K once both are projected along d.  Each crossing, solved on
-    the segment of its seed or its neighbour, is signed by
+    infinity in direction d.  The seeds rest on the two pieces of the
+    image, so the engine relies on f(x) = (x, 0) off the kink disks, as
+    for geometry.FamilyMap.  There a crossing lies where some curtain line
+    K_i + lambda d meets R^4 x {0}: vertex i seeds the point of the domain
+    on the ray through K_i[:4] - (K_i5 / d5) d[:4] (geometry.radial_point),
+    paired with its own segment.  On the kink disks the kink-disk grid of
+    solve_self_intersection (config.double_seed_rings rings) seeds every
+    point whose image lies within 0.08 of K once both are projected along
+    d, paired with the segment of the nearest projected sample.  Each
+    crossing, solved by _curtain_crossings on one continuous curve
+    parameter, is signed by
 
         det[B - A, d, f_* b1, f_* b2, f_* b3]
 
-    with A B the segment and (b_i) a positive tangent basis of the domain,
+    with A B its segment and (b_i) a positive tangent basis of the domain,
     outward normal first, so a curve bounding a small disk that meets the
     image once positively gets +1.  The count is independent of d.  The
     directions are unit(e5 + 0.06 N(0, I)) drawn from config.seed + 11: a
     crossing within 1e-5 of a vertex or failing the transversality
     threshold moves on to the next, config.apex_retries in all,
     after which NonRegularValueError is raised.  A given direction is the
-    only one tried.
+    only one tried; one with d5 = 0, whose curtain lines never meet
+    R^4 x {0}, raises ValueError.
     """
     verts = _drop_duplicate_endpoint(curve)
     if verts.shape[1] != 5:
         raise ValueError("curve must be a closed polyline in R^5")
+    params = manifold.params
 
     def constraint(x):
-        return domain_constraint(x, manifold.params)
+        return domain_constraint(x, params)
 
     if direction is not None:
         directions = [_unit(direction)]
+        if directions[0][4] == 0:
+            raise ValueError("direction must not be horizontal (d5 = 0)")
     else:
         rng = np.random.default_rng(config.seed + 11)
         directions = _unit(np.eye(5)[4] + 0.06 * rng.normal(
             size=(config.apex_retries, 5)))
+    n = len(verts)
     # the points at u = 1/4 and 3/4 of each segment; sample i lies on
     # segment i mod n
     nxt = np.roll(verts, -1, axis=0)
     samples = np.concatenate([0.75 * verts + 0.25 * nxt,
                               0.25 * verts + 0.75 * nxt])
-    grid = _kink_disk_grid(manifold.params, config.double_seed_rings)
+    grid = _kink_disk_grid(params, config.double_seed_rings)
+    grid_img = manifold.ambient_eval(grid)
     last_err = None
     for d in directions:
         tree = cKDTree(_flatten(samples, d))
-        seeds = _seeds_near_chain(
-            tree, lambda x: _flatten(manifold.ambient_eval(x), d),
-            manifold.params, config, extra=grid)
-        if seeds is None or len(seeds) == 0:
-            return 0
-        img = manifold.ambient_eval(seeds)
-        if cKDTree(img).query(verts)[0].min() < config.min_image_separation:
-            raise ValueError("curve passes too close to the image to link")
-        seg = tree.query(_flatten(img, d))[1] % len(verts)
+        # farther points come back as inf, and only dist < 0.08 is read
+        dist, near = tree.query(_flatten(grid_img, d),
+                                distance_upper_bound=0.08)
+        close = dist < 0.08
+        foot = verts[:, :4] - (verts[:, 4] / d[4])[:, None] * d[:4]
+        ray = np.any(foot != 0, axis=1)
+        flat = radial_point(foot[ray], params)
+        seeds = np.concatenate([grid[close], flat])
+        img = np.concatenate([grid_img[close], manifold.ambient_eval(flat)])
+        seg = np.concatenate([near[close] % n, np.nonzero(ray)[0]])
         try:
             return _curtain_crossings(verts, d, seg, manifold, constraint,
                                       seeds, img, config)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from genimm.config import Config
 from genimm.geometry import (FamilyMap, HalfInteger, KinkParams, TorusPoint,
                              blended_kink, classical_hopf, column_m1,
                              column_m1_jacobian, column_n1,
@@ -168,7 +169,6 @@ def test_profile_flat_then_round():
 
 def test_domain_constraint_sign():
     p = KinkParams()
-    fam = FamilyMap("1/2", p)
     theta = RNG.uniform(0, 2 * np.pi, 200)
     s = RNG.uniform(0, 1, 200)
     chi = RNG.uniform(0, 2 * np.pi, 200)
@@ -259,6 +259,20 @@ def test_family_continuous_across_torus_boundary():
     inner = fam.torus_eval(theta, np.pi - 1e-9, phi)
     outer = fam.torus_eval(theta, np.pi, phi)
     assert np.max(np.linalg.norm(inner - outer, axis=1)) < 1e-8
+
+
+def test_family_continuous_across_the_disk_edge_at_a_moved_annulus():
+    # the kink scale a / r2 and the blend annulus both come from the
+    # config, so the spun kink still meets the flat part at |x12| = a
+    fam = FamilyMap("1/2", config=Config(kink_r1=2.0, kink_r2=4.0))
+    a = fam.params.a
+    theta = RNG.uniform(0, 2 * np.pi, 50)
+    chi = RNG.uniform(0, 2 * np.pi, 50)
+    inner = fam.ambient_eval(fam.params.chart(np.full(50, a - 1e-9), chi,
+                                              theta))
+    outer = fam.ambient_eval(fam.params.chart(np.full(50, a + 1e-9), chi,
+                                              theta))
+    assert np.max(np.linalg.norm(inner - outer, axis=1)) < 1e-7
 
 
 def test_family_single_valued_across_sweep_seam():

@@ -13,8 +13,7 @@ from scipy.spatial import cKDTree
 from genimm.config import Config
 from genimm.geometry import (FamilyMap, HalfInteger, classical_hopf,
                              column_m1, column_m1_jacobian, column_n1,
-                             column_n1_jacobian, domain_constraint, quat_mul,
-                             radial_point)
+                             column_n1_jacobian, domain_constraint, quat_mul)
 from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             crossing_link, degree_S3, gauss_link,
                             gauss_link_raw,
@@ -24,8 +23,7 @@ from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             oriented_complement, solve_self_intersection,
                             stereographic, stereographic_basis)
 from genimm import invariants, numtopo
-from genimm.numtopo import (_DEDUPE_RADIUS, _dedupe, _newton, _periodic_key,
-                            _seeds_near_chain)
+from genimm.numtopo import _DEDUPE_RADIUS, _dedupe, _newton, _periodic_key
 
 CFG = Config()
 
@@ -1006,60 +1004,6 @@ class TestDedupe:
         assert keep.tolist() == [0, 1, 3, 4]
 
 
-def _seeds_near_chain_reference(chain_tree, manifold, constraint, config):
-    """The chain seed search as first written: unbounded queries, every
-    jittered copy projected with a batch-wide stopping rule, then the
-    150,000 draw.  Also returns whether each draw fired."""
-    def project(directions):
-        d = directions / np.linalg.norm(directions, axis=1, keepdims=True)
-        lam = np.ones(len(d))
-        for _ in range(80):
-            step = np.sqrt(np.maximum(
-                lam**2 - constraint(lam[:, None] * d), 1e-12))
-            if np.max(np.abs(step - lam)) < 1e-13:
-                return step[:, None] * d
-            lam = step
-        raise AssertionError("reference projection did not settle")
-
-    rng = np.random.default_rng(config.seed + 5)
-    pts = project(rng.normal(size=(60000, 4)))
-    capped = []
-    for radius, jitter, fan in ((0.25, 0.06, 8),
-                                (0.08, 0.02, 6),
-                                (0.025, None, 0)):
-        dist = chain_tree.query(manifold.ambient_eval(pts))[0]
-        keep = pts[dist < radius]
-        if jitter is None:
-            return keep, capped
-        reps = np.repeat(keep, fan, axis=0)
-        reps = reps + rng.normal(size=reps.shape) * jitter
-        pts = np.concatenate([keep, project(reps)])
-        capped.append(len(pts) > 150000)
-        if len(pts) > 150000:
-            pts = pts[rng.choice(len(pts), 150000, replace=False)]
-
-
-def test_seeds_near_chain_matches_the_project_everything_search():
-    fam = FamilyMap("1/2", config=CFG)
-
-    def constraint(x):
-        return domain_constraint(x, fam.params)
-
-    # chain: the image of a torus on the domain, so that about half the
-    # domain lies within 0.25 of it and both 150,000 draws fire
-    a, b = np.meshgrid(np.linspace(0, 2 * np.pi, 60, endpoint=False),
-                       np.linspace(0, 2 * np.pi, 60, endpoint=False))
-    torus = np.stack([np.cos(a), np.sin(a), np.cos(b), np.sin(b)], axis=-1)
-    tree = cKDTree(fam.ambient_eval(
-        radial_point(torus.reshape(-1, 4), fam.params)))
-    ref, capped = _seeds_near_chain_reference(tree, fam, constraint, CFG)
-    assert capped == [True, True]
-    assert len(ref) > 10000
-    seeds = _seeds_near_chain(tree, fam.ambient_eval, fam.params, CFG)
-    assert seeds.shape == ref.shape
-    assert np.allclose(seeds, ref, rtol=0, atol=1e-12)
-
-
 class TestCurtainLink:
     """A meridian of the image: a small circle about a point p of the
     round part of the m = 1/2 image, in the normal plane spanned by the
@@ -1090,15 +1034,26 @@ class TestCurtainLink:
         assert link_1cycle_3manifold(lifted, self.fam, CFG) == 0
 
     def test_independent_of_direction(self):
-        for d in ((0.1, -0.2, 0.05, 0.3, 1.0), (0.3, 0.5, -0.2, 0.4, -1.0)):
+        # the last direction lies in the meridian's own plane; there each
+        # vertex seed must start on its own segment, not on the one nearest
+        # its image in projection, or every row slides behind the curve
+        for d in ((0.1, -0.2, 0.05, 0.3, 1.0), (0.3, 0.5, -0.2, 0.4, -1.0),
+                  self.p + 3.1 * self.e5):
             assert link_1cycle_3manifold(self.meridian(), self.fam, CFG,
                                          direction=d) == -1
 
     def test_direction_through_a_vertex_is_rejected(self):
-        # the vertex line of vertex 0 along -n runs through p
+        # vertex 100 is p + 0.05 e5, and its line along -e5 runs through p
         with pytest.raises(NonRegularValueError):
             link_1cycle_3manifold(self.meridian(), self.fam, CFG,
-                                  direction=-self.p)
+                                  direction=-self.e5)
+
+    def test_horizontal_direction_is_rejected(self):
+        # a curtain line with d5 = 0 never meets R^4 x {0}, where the flat
+        # crossings are seeded
+        with pytest.raises(ValueError, match="horizontal"):
+            link_1cycle_3manifold(self.meridian(), self.fam, CFG,
+                                  direction=(0.3, 0.1, -0.2, 0.5, 0.0))
 
     def test_curve_through_the_image_is_rejected(self):
         # vertex 0 is p itself: the curtain solve lands on the curve, at
@@ -1109,17 +1064,81 @@ class TestCurtainLink:
         with pytest.raises(ValueError, match="too close to the image"):
             link_1cycle_3manifold(curve, self.fam, CFG)
 
-    @pytest.mark.parametrize("m, seed", [("-2", 7), ("2", 6)])
-    def test_family_pushoff_needs_no_extra_seeds(self, m, seed):
-        # at seed 7 the random start sample alone misses a sheet of the
-        # m = -2 image, which the kink-disk grid finds; at seed 6 one m = 2
-        # crossing is solved only from seeds of the neighbouring segment
-        config = Config(seed=seed)
-        fam = FamilyMap(m, config=config)
+    @staticmethod
+    def pushoff(fam, config):
         rot = next(r for r in (-fam.m.twice, fam.m.twice)
                    if invariants._framing_null_homologous(fam, r, config))
-        curve = invariants._pushoff_curve(fam, rot, config)
+        return invariants._pushoff_curve(fam, rot, config)
+
+    @pytest.mark.parametrize("m, seed", [("-2", 7), ("2", 6)])
+    def test_family_pushoff_needs_no_extra_seeds(self, m, seed):
+        # at seed 7 a random start sample alone once missed a sheet of the
+        # m = -2 image; at seed 6 one m = 2 crossing was once solved only
+        # from seeds of the neighbouring segment
+        config = Config(seed=seed)
+        fam = FamilyMap(m, config=config)
+        curve = self.pushoff(fam, config)
         assert link_1cycle_3manifold(curve, fam, config) == -2 * fam.m.twice
+
+    @pytest.mark.parametrize("shift", [3, 20])
+    def test_rows_run_past_the_segment_they_start_on(self, monkeypatch,
+                                                      shift):
+        # each row moves along the whole curve, so seeds paired with a
+        # segment 3 or 20 places off still reach every crossing; rows tied
+        # to their segment counted -1 here
+        real = numtopo._curtain_crossings
+
+        def shifted(verts, d, seg, *rest):
+            return real(verts, d, (seg + shift) % len(verts), *rest)
+
+        monkeypatch.setattr(numtopo, "_curtain_crossings", shifted)
+        curve = self.pushoff(self.fam, CFG)
+        assert link_1cycle_3manifold(curve, self.fam, CFG) == -2
+
+    @staticmethod
+    def normal_meridian(fam, s, alpha, beta, folds):
+        """A meridian of radius 0.01 about p = f(x), x = chart(s, alpha,
+        beta), in the normal plane N of the image at p, 300 vertices a
+        turn.  N is the oriented_complement of f_* b, b the positive
+        tangent basis, so the disk it bounds, oriented (N1, N2), meets the
+        image once with sign det[N1, N2, f_* b] = det[f_* b, N1, N2] = +1.
+        With folds = 2 it goes round twice, its radius and its offset along
+        f_* b2 moved so that the two passes stay 0.002 apart."""
+        x = fam.params.chart(s, alpha, beta)
+        jac = fam.ambient_jacobian(x)
+        tangent = jac @ numtopo.positive_tangent_basis(
+            lambda y: domain_constraint(y, fam.params), x, CFG)
+        n1, n2 = oriented_complement(tangent.T).T
+        t2 = tangent[:, 1] / np.linalg.norm(tangent[:, 1])
+        t = np.linspace(0, 2 * np.pi * folds, 300 * folds,
+                        endpoint=False)[:, None]
+        wobble = 0.001 * (folds - 1)
+        return (fam.ambient_eval(x)
+                + (0.01 + wobble * np.sin(t / folds))
+                * (np.cos(t) * n1 + np.sin(t) * n2)
+                + wobble * np.cos(t / folds) * t2)
+
+    # (m, s, alpha, beta, folds): kink-region meridians (s = 0.016, 0.1),
+    # flat ones (s = 0.6) and 2-fold ones; the flat m = 2 meridian at the
+    # default direction counted 0, and both 2-fold ones 1 at both
+    # directions, with the random seed search
+    @pytest.mark.parametrize("m, s, alpha, beta, folds", [
+        ("1/2", 0.016, 4.0, 1.7, 1),
+        ("-3/2", 0.1, 1.0, 2.0, 1),
+        ("2", 0.6, 2.73, 6.12, 1),
+        ("2", 0.016, 2.82, 5.02, 2),
+        ("1/2", 0.6, 5.39, 0.21, 2),
+    ])
+    @pytest.mark.parametrize("direction", [None, (0.2, -0.1, 0.3, 0.1, 1.0)])
+    def test_meridians_of_the_image(self, m, s, alpha, beta, folds,
+                                    direction):
+        fam = FamilyMap(m, config=CFG)
+        curve = self.normal_meridian(fam, s, alpha, beta, folds)
+        assert link_1cycle_3manifold(curve, fam, CFG,
+                                     direction=direction) == folds
+        # lifted off the image, the copy bounds a disk that misses it
+        assert link_1cycle_3manifold(curve + 0.3 * self.e5, fam, CFG,
+                                     direction=direction) == 0
 
 
 class TestSignedCount:
