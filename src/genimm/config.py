@@ -94,13 +94,21 @@ class Config:
             raise ValueError("sign conventions must be +-1")
         if self.sigma_sign not in (-1, 1):
             raise ValueError("sigma_sign must be +-1")
+        # at a margin of 1/2 every sum is within it of an integer, so the
+        # "not near an integer" check of numtopo.gauss_link could not fire
+        if not (0.0 < self.integer_rounding_margin < 0.5):
+            raise ValueError("integer_rounding_margin must lie in (0, 1/2)")
         for key, least in (("trace_coarse_factor", 1),
                            ("double_seed_rings", 1), ("degree_grid", 1),
-                           ("curve_points", 3), ("apex_retries", 1)):
+                           ("curve_points", 3), ("apex_retries", 1),
+                           ("newton_max_iter", 1), ("trace_max_steps", 1)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}")
         for key in ("fd_step", "trace_step", "pair_seed_radius",
-                    "min_preimage_separation", "double_trace_step"):
+                    "min_preimage_separation", "double_trace_step",
+                    "newton_tol", "trace_corrector_tol", "trace_closure_tol",
+                    "min_image_separation", "jacobian_min_det",
+                    "push_distance"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive")
 

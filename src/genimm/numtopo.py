@@ -120,12 +120,9 @@ def oriented_complement(rows):
 # linking of closed polylines in R^3
 
 
-def _triangle_solid_angle(t1, t2, t3):
-    num = np.einsum("...i,...i->...", t1, np.cross(t2, t3))
-    den = (1.0 + np.einsum("...i,...i->...", t1, t2)
-           + np.einsum("...i,...i->...", t2, t3)
-           + np.einsum("...i,...i->...", t3, t1))
-    return 2.0 * np.arctan2(num, den)
+# Segment pairs per block of the Gauss sum, so that a block's unit-vector
+# grid and its dot products stay in cache.  It sets only the summation order.
+_GAUSS_PAIR_BUDGET = 1 << 14
 
 
 def gauss_link_raw(curve_a, curve_b, config: Config = DEFAULT) -> float:
@@ -133,11 +130,19 @@ def gauss_link_raw(curve_a, curve_b, config: Config = DEFAULT) -> float:
 
     The Gauss map g(s, t) = (a(s) - b(t)) / |a(s) - b(t)| sends the torus of
     parameter pairs to the unit sphere; its degree over one segment pair is
-    the signed solid angle of a spherical quadrilateral, evaluated here with
-    the arctangent formula, so the result is exact for the polylines.  With
-    this Gauss map det(g, dg/ds, dg/dt) = -det(da/ds, db/dt, a - b)/|a-b|^3,
-    so the right handed crossing convention is minus the accumulated angle
-    over 4 pi.
+    the signed solid angle of the spherical quadrilateral of its corners
+    va, vb, vc, vd = g at (a_i, b_j), (a_i, b_j+1), (a_i+1, b_j+1),
+    (a_i+1, b_j), so the result is exact for the polylines (Klenin and
+    Langowski, Biopolymers 54, 2000).  The quadrilateral splits along the
+    diagonal va, vc into two triangles, each of solid angle
+    2 arctan2(det, 1 + the three pairwise dots), and both determinants
+    come from X = va x vc: det(va, vd, vc) = -vd . X and
+    det(va, vc, vb) = vb . X.  The rows of a are taken in blocks of
+    _GAUSS_PAIR_BUDGET segment pairs; each block builds the grid
+    U[i, j] = g(a_i, b_j) once, with one wrap row and one wrap column, and
+    reads every corner from it.  With this Gauss map
+    det(g, dg/ds, dg/dt) = -det(da/ds, db/dt, a - b)/|a-b|^3, so the right
+    handed crossing convention is minus the accumulated angle over 4 pi.
     """
     a = _drop_duplicate_endpoint(curve_a)
     b = _drop_duplicate_endpoint(curve_b)
@@ -145,20 +150,25 @@ def gauss_link_raw(curve_a, curve_b, config: Config = DEFAULT) -> float:
         raise ValueError("curves must lie in R^3")
     if cKDTree(b).query(a)[0].min() < config.min_image_separation:
         raise ValueError("curves are too close to link reliably")
-    a_next = np.roll(a, -1, axis=0)
-    b_next = np.roll(b, -1, axis=0)
+    a_wrap = np.concatenate([a, a[:1]])
+    b_wrap = np.concatenate([b, b[:1]])
+    rows = max(1, _GAUSS_PAIR_BUDGET // len(b))
+
+    def dot(u, v):
+        return np.einsum("ijk,ijk->ij", u, v)
+
     total = 0.0
-    block = max(1, (1 << 21) // len(b))
-    for lo in range(0, len(a), block):
-        p0 = a[lo:lo + block, None, :]
-        p1 = a_next[lo:lo + block, None, :]
-        va = _unit(p0 - b[None, :, :])
-        vb = _unit(p0 - b_next[None, :, :])
-        vc = _unit(p1 - b_next[None, :, :])
-        vd = _unit(p1 - b[None, :, :])
-        total += _triangle_solid_angle(va, vd, vc).sum()
-        total += _triangle_solid_angle(va, vc, vb).sum()
-    return -total / (4.0 * np.pi)
+    for lo in range(0, len(a), rows):
+        grid = _unit(a_wrap[lo:lo + rows + 1, None, :] - b_wrap[None, :, :])
+        va, vb = grid[:-1, :-1], grid[:-1, 1:]
+        vc, vd = grid[1:, 1:], grid[1:, :-1]
+        x = np.cross(va, vc)
+        ac = dot(va, vc)
+        total += np.arctan2(-dot(vd, x),
+                            1.0 + ac + dot(va, vd) + dot(vd, vc)).sum()
+        total += np.arctan2(dot(vb, x),
+                            1.0 + ac + dot(vc, vb) + dot(vb, va)).sum()
+    return -total / (2.0 * np.pi)
 
 
 def gauss_link(curve_a, curve_b, config: Config = DEFAULT) -> int:
@@ -348,38 +358,40 @@ def _cone_crossings(apex, a, a_next, b):
     the determinant d(u) = det[z, a_i, a_i+1, b(u)] changes sign, and lands
     inside the triangle when its coordinates in the three spanning rays are
     positive.  Tracking orientations through the radial projection onto the
-    unit sphere, the crossing sign is sign(d_j+1 - d_j).  Returns None when
-    a crossing is too close to a triangle edge to call.
+    unit sphere, the crossing sign is sign(d_j+1 - d_j).  The coordinates
+    are least-squares ones, taken for every crossing at once from the
+    stacked pseudo-inverses of the 4 x 3 triangle spans; so are those of
+    the b vertices that lie on a supporting hyperplane.  Returns None when
+    a crossing is too close to a triangle edge to call, or a vertex on a
+    supporting hyperplane is near its triangle.
     """
     x_vec = _cross4(np.broadcast_to(apex, a.shape), a, a_next)
     d = x_vec @ b.T
     scale = (np.linalg.norm(x_vec, axis=1, keepdims=True)
              * np.linalg.norm(b, axis=1)[None, :])
+    inverse = np.linalg.pinv(
+        np.stack([np.broadcast_to(apex, a.shape), a, a_next], axis=-1))
 
     def near_triangle(i, w, slack):
-        span = np.column_stack([apex, a[i], a_next[i]])
-        coeff, *_ = np.linalg.lstsq(span, w, rcond=None)
-        return coeff, np.all(coeff > -slack * np.linalg.norm(w))
+        coeff = np.einsum("nij,nj->ni", inverse[i], w)
+        bound = slack * np.linalg.norm(w, axis=1, keepdims=True)
+        return coeff, bound, np.all(coeff > -bound, axis=1)
 
     # a vertex almost on a supporting hyperplane is harmless unless it is
     # also near that triangle, where the crossing count would be ambiguous
-    for i, j in np.argwhere(np.abs(d) < 1e-9 * np.maximum(scale, 1e-30)):
-        if near_triangle(i, b[j], 1e-6)[1]:
-            return None
+    i, j = np.nonzero(np.abs(d) < 1e-9 * np.maximum(scale, 1e-30))
+    if np.any(near_triangle(i, b[j], 1e-6)[2]):
+        return None
 
-    d_next = np.roll(d, -1, axis=1)
-    hits = np.argwhere(np.sign(d) != np.sign(d_next))
-    total = 0
-    for i, j in hits:
-        jn = (j + 1) % d.shape[1]
-        u = d[i, j] / (d[i, j] - d[i, jn])
-        w = (1.0 - u) * b[j] + u * b[jn]
-        coeff, inside_closed = near_triangle(i, w, 1e-9)
-        if inside_closed and np.any(coeff < 1e-9 * np.linalg.norm(w)):
-            return None  # crossing on a triangle edge, apex not generic
-        if np.all(coeff > 0):
-            total += 1 if d[i, jn] > d[i, j] else -1
-    return total
+    i, j = np.nonzero(np.sign(d) != np.sign(np.roll(d, -1, axis=1)))
+    jn = (j + 1) % d.shape[1]
+    u = (d[i, j] / (d[i, j] - d[i, jn]))[:, None]
+    coeff, bound, inside_closed = near_triangle(
+        i, (1.0 - u) * b[j] + u * b[jn], 1e-9)
+    if np.any(inside_closed & np.any(coeff < bound, axis=1)):
+        return None  # crossing on a triangle edge, apex not generic
+    sign = np.where(d[i, jn] > d[i, j], 1, -1)
+    return int(sign[np.all(coeff > 0, axis=1)].sum())
 
 
 def spherical_cone_link(curve_a, curve_b, config: Config = DEFAULT,

@@ -42,3 +42,32 @@ def test_count_keys_below_their_least_value_are_rejected(key, value):
     # gives no count
     with pytest.raises(ValueError, match=key):
         Config(**{key: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -0.1, 0.5, 0.6])
+def test_integer_rounding_margin_must_lie_below_one_half(value):
+    # at a margin of 1/2 or more every sum is within the margin of an
+    # integer, so gauss_link would round a bad sum without a word
+    with pytest.raises(ValueError, match="integer_rounding_margin"):
+        Config(integer_rounding_margin=value)
+
+
+def test_integer_rounding_margin_inside_the_interval_is_accepted():
+    assert Config(integer_rounding_margin=0.49).integer_rounding_margin == 0.49
+
+
+@pytest.mark.parametrize("key", [
+    "newton_tol", "trace_corrector_tol", "trace_closure_tol",
+    "min_image_separation", "jacobian_min_det", "push_distance"])
+@pytest.mark.parametrize("value", [0.0, -1e-6])
+def test_tolerances_must_be_positive(key, value):
+    with pytest.raises(ValueError, match=key):
+        Config(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["newton_max_iter", "trace_max_steps"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_iteration_caps_must_be_at_least_one(key, value):
+    # no Newton step or tracer step would leave every solve unconverged
+    with pytest.raises(ValueError, match=key):
+        Config(**{key: value})

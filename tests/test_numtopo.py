@@ -23,7 +23,9 @@ from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             oriented_complement, solve_self_intersection,
                             stereographic, stereographic_basis)
 from genimm import invariants, numtopo
-from genimm.numtopo import _DEDUPE_RADIUS, _dedupe, _newton, _periodic_key
+from genimm.numtopo import (_DEDUPE_RADIUS, _GAUSS_PAIR_BUDGET,
+                            _cone_crossings, _cross4, _dedupe, _newton,
+                            _periodic_key, _unit)
 
 CFG = Config()
 
@@ -92,6 +94,66 @@ class TestGaussLink:
         b = circle3(center=(2.0 + 1e-6, 0.0, 0.0))
         with pytest.raises(ValueError):
             gauss_link(a, b, CFG)
+
+
+def _triangle_solid_angle(t1, t2, t3):
+    num = np.einsum("...i,...i->...", t1, np.cross(t2, t3))
+    den = (1.0 + np.einsum("...i,...i->...", t1, t2)
+           + np.einsum("...i,...i->...", t2, t3)
+           + np.einsum("...i,...i->...", t3, t1))
+    return 2.0 * np.arctan2(num, den)
+
+
+def four_array_gauss_sum(a, b):
+    """Reference Gauss sum: every segment pair normalizes its own four
+    corner vectors and sums its two triangles independently."""
+    a_next, b_next = np.roll(a, -1, axis=0), np.roll(b, -1, axis=0)
+    p0, p1 = a[:, None, :], a_next[:, None, :]
+    va = _unit(p0 - b[None, :, :])
+    vb = _unit(p0 - b_next[None, :, :])
+    vc = _unit(p1 - b_next[None, :, :])
+    vd = _unit(p1 - b[None, :, :])
+    total = (_triangle_solid_angle(va, vd, vc).sum()
+             + _triangle_solid_angle(va, vc, vb).sum())
+    return -total / (4.0 * np.pi)
+
+
+def with_repeated_vertex(curve, k):
+    return np.insert(curve, k, curve[k], axis=0)
+
+
+class TestGaussKernel:
+    """gauss_link_raw's block grid against the four-array reference sum."""
+
+    def assert_matches_reference(self, a, b):
+        for a_dir in (a, a[::-1]):
+            for b_dir in (b, b[::-1]):
+                assert abs(gauss_link_raw(a_dir, b_dir, CFG)
+                           - four_array_gauss_sum(a_dir, b_dir)) < 1e-10
+
+    def test_several_blocks_with_a_short_last_block(self):
+        rng = np.random.default_rng(24)
+        a = perturbed(torus_knot(2, 3, 500), rng, 0.05)
+        b = perturbed(circle3(100, radius=2.0), rng, 0.05)
+        rows = _GAUSS_PAIR_BUDGET // len(b)
+        assert len(a) > 2 * rows and len(a) % rows != 0
+        assert abs(gauss_link(a, b, CFG)) == 3
+        self.assert_matches_reference(a, b)
+
+    def test_one_row_blocks_when_b_exceeds_the_pair_budget(self):
+        a = circle3(24)
+        b = circle3(_GAUSS_PAIR_BUDGET + 5, center=(1.0, 0.0, 0.0),
+                    axes=((1, 0, 0), (0, 0, 1)))
+        assert _GAUSS_PAIR_BUDGET // len(b) == 0
+        assert gauss_link(a, b, CFG) == -1
+        self.assert_matches_reference(a, b)
+
+    def test_repeated_consecutive_vertex(self):
+        a, b = hand_link_pair(120)
+        a, b = with_repeated_vertex(a, 7), with_repeated_vertex(b, 50)
+        assert np.all(a[7] == a[8]) and np.all(b[50] == b[51])
+        assert gauss_link(a, b, CFG) == -1
+        self.assert_matches_reference(a, b)
 
 
 def torus_knot(p, q, n, major=2.0, minor=0.5):
@@ -568,7 +630,102 @@ class TestLinkingEngines:
         assert len({tuple(z) for z in tried}) == retries
 
 
-class TestDegree:
+def per_hit_cone_crossings(apex, a, a_next, b):
+    """Reference cone count: one least-squares solve per hit and per vertex
+    near a supporting hyperplane, with the slacks of _cone_crossings."""
+    x_vec = _cross4(np.broadcast_to(apex, a.shape), a, a_next)
+    d = x_vec @ b.T
+    scale = (np.linalg.norm(x_vec, axis=1, keepdims=True)
+             * np.linalg.norm(b, axis=1)[None, :])
+
+    def near_triangle(i, w, slack):
+        span = np.column_stack([apex, a[i], a_next[i]])
+        coeff, *_ = np.linalg.lstsq(span, w, rcond=None)
+        return coeff, np.all(coeff > -slack * np.linalg.norm(w))
+
+    for i, j in np.argwhere(np.abs(d) < 1e-9 * np.maximum(scale, 1e-30)):
+        if near_triangle(i, b[j], 1e-6)[1]:
+            return None
+    d_next = np.roll(d, -1, axis=1)
+    total = 0
+    for i, j in np.argwhere(np.sign(d) != np.sign(d_next)):
+        jn = (j + 1) % d.shape[1]
+        u = d[i, j] / (d[i, j] - d[i, jn])
+        w = (1.0 - u) * b[j] + u * b[jn]
+        coeff, inside_closed = near_triangle(i, w, 1e-9)
+        if inside_closed and np.any(coeff < 1e-9 * np.linalg.norm(w)):
+            return None
+        if np.all(coeff > 0):
+            total += 1 if d[i, jn] > d[i, j] else -1
+    return total
+
+
+@pytest.fixture(scope="module")
+def hopf_fibers():
+    """The unit rays of the two fibers that second_column_hopf links, with
+    the segment starts and ends of the first, as spherical_cone_link hands
+    them to _cone_crossings."""
+    seen = []
+    real = numtopo.spherical_cone_link
+
+    def spy(curve_a, curve_b, *args, **kwargs):
+        seen.append((curve_a, curve_b))
+        return real(curve_a, curve_b, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numtopo, "spherical_cone_link", spy)
+        assert invariants.second_column_hopf(CFG) == -1
+    assert len(seen) == 1
+    a, b = (_unit(c) for c in seen[0])
+    return a, np.roll(a, -1, axis=0), b
+
+
+def hyperplane_gaps(apex, a, a_next, b):
+    """|det[apex, a_i, a_i+1, b_j]| over its scale, for every (i, j)."""
+    x_vec = _cross4(np.broadcast_to(apex, a.shape), a, a_next)
+    return np.abs(x_vec @ b.T) / (np.linalg.norm(x_vec, axis=1)[:, None]
+                                  * np.linalg.norm(b, axis=1)[None, :])
+
+
+class TestConeKernel:
+    """_cone_crossings' batched solve against the per-hit reference."""
+
+    def test_matches_per_hit_solve_on_the_hopf_fibers(self, hopf_fibers):
+        a, a_next, b = hopf_fibers
+        apexes = _unit(np.random.default_rng(24).normal(size=(10, 4)))
+        values = [_cone_crossings(z, a, a_next, b) for z in apexes]
+        assert values == [per_hit_cone_crossings(z, a, a_next, b)
+                          for z in apexes]
+        assert set(values) == {1}
+
+    def test_vertex_on_a_supporting_hyperplane_inside_its_triangle(
+            self, hopf_fibers):
+        # b_j = |w| z + 0.3 a_i + 0.3 a_i+1 with w = b_j - 0.3 (a_i + a_i+1):
+        # the vertex lies inside triangle i, on its supporting hyperplane
+        a, a_next, b = hopf_fibers
+        i, j = 100, 400
+        z = _unit(b[j] - 0.3 * (a[i] + a_next[i]))
+        assert hyperplane_gaps(z, a, a_next, b)[i, j] < 1e-12
+        assert _cone_crossings(z, a, a_next, b) is None
+        assert per_hit_cone_crossings(z, a, a_next, b) is None
+        with pytest.raises(ArithmeticError, match="no generic apex"):
+            spherical_cone_link(a, b, CFG, apex=z)
+
+    def test_crossing_on_a_triangle_edge(self, hopf_fibers):
+        # the midpoint w of the chord b_j b_j+1 is |w - 0.5 a_i| z + 0.5 a_i,
+        # on the edge of triangle i between its apex ray and a_i; no vertex
+        # of b is near a supporting hyperplane, so the crossing itself is
+        # what is not called
+        a, a_next, b = hopf_fibers
+        i, j = 100, 400
+        w = 0.5 * (b[j] + b[j + 1])
+        z = _unit(w - 0.5 * a[i])
+        assert hyperplane_gaps(z, a, a_next, b).min() > 1e-8
+        assert _cone_crossings(z, a, a_next, b) is None
+        assert per_hit_cone_crossings(z, a, a_next, b) is None
+        with pytest.raises(ArithmeticError, match="no generic apex"):
+            spherical_cone_link(a, b, CFG, apex=z)
+
     def frame_map(self, m):
         mv = HalfInteger(int(round(2 * m))).value
 
