@@ -725,6 +725,8 @@ class TestConeKernel:
         with pytest.raises(ArithmeticError, match="no generic apex"):
             spherical_cone_link(a, b, CFG, apex=z)
 
+
+class TestDegree:
     def frame_map(self, m):
         mv = HalfInteger(int(round(2 * m))).value
 
