@@ -340,8 +340,11 @@ def _cmd_report(args, config: Config) -> int:
     else:
         text = _format_table(rows) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(2, f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -397,20 +397,23 @@ class FamilyMap:
                                  self.m.value * theta + offset, theta)
 
     def preimage_components(self, n: int | None = None) -> list[np.ndarray]:
-        """Closed preimage curves in domain R^4.
-
-        One curve (the two branches join after a full sweep) when 2m is odd,
-        two disjoint circles when m is an integer.
-        """
+        """Closed preimage curves in domain R^4: the two legs of
+        double_point_pair on the n-point sweep grid, joined by join_legs."""
         n = n if n is not None else self.config.curve_points
-        if self.m.twice % 2 == 1:
-            theta = np.linspace(0, 4 * np.pi, 2 * n, endpoint=False)
-            return [self.preimage_branch(theta, 0.0)]
-        theta = np.linspace(0, 2 * np.pi, n, endpoint=False)
-        return [self.preimage_branch(theta, 0.0),
-                self.preimage_branch(theta, np.pi)]
+        return self.join_legs(self.double_point_pair(
+            np.linspace(0, 2 * np.pi, n, endpoint=False)))
 
-    def double_point_pair(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    def join_legs(self, legs) -> list[np.ndarray]:
+        """The closed curves of two legs over one sweep grid: two circles
+        for an integer m, one when 2m is odd, since 2 pi m = pi mod 2 pi
+        makes preimage_branch(theta + 2 pi, 0) preimage_branch(theta, pi)."""
+        if self.m.is_integer:
+            return list(legs)
+        return [np.concatenate(legs)]
+
+    def double_point_pair(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """The two preimages, offsets 0 and pi, of the image double point
+        at each sweep angle theta."""
         return (self.preimage_branch(theta, 0.0),
                 self.preimage_branch(theta, np.pi))
 

@@ -315,57 +315,48 @@ def smale_of_family(m, config: Config = DEFAULT,
 # the linking invariant of the family, by chain crossing count
 
 
-def _branch_frames(fam: FamilyMap, u, offset: float):
-    """Point, disk-radial direction and second framing axis of a branch.
+def _framed_legs(fam: FamilyMap, rot: float, n: int):
+    """The two double-point legs on the n-point sweep grid, framed.
 
-    Along the double-point preimage branch at sweep parameter u the
-    tangent space of the domain is spanned by the disk-radial direction
-    d_r, the disk-angular direction d_phi and the sweep direction tau_s.
-    The branch tangent is m c d_phi + h tau_s; the unit normal to it
-    inside the tangent plane it spans with tau_s is e2.  (d_r, e2) frame
-    the normal bundle of the branch inside the domain hypersurface.
+    Returns (points, w), both of shape (2, n, 4): the legs of
+    FamilyMap.double_point_pair, offsets 0 and pi, and a normal framing
+    along them that turns rot times per sweep turn.  Along a leg at sweep
+    angle theta the tangent space of the domain is spanned by the
+    disk-radial direction d_r, the disk-angular direction d_phi and the
+    sweep direction tau_s.  The leg tangent is m c d_phi + h tau_s; the
+    unit normal to it inside the plane it spans with tau_s is e2, and
+    (d_r, e2) frame the normal bundle of the leg inside the domain
+    hypersurface; w = cos(rot theta) d_r + sin(rot theta) e2.  For a
+    half-odd m the second leg continues the first (FamilyMap.join_legs),
+    and since rot is an integer, so does w.
     """
-    u = np.asarray(u, dtype=float)
+    theta = np.linspace(0, 2 * np.pi, n, endpoint=False)
     mval = fam.m.value
     c = fam.params.kink_scale
     h = fam.params.cap_height
-    phi = mval * u + offset
-    zero = np.zeros_like(u)
+    phi = mval * theta + np.array([[0.0], [np.pi]])
+    zero = np.zeros_like(phi)
     d_r = np.stack([np.cos(phi), np.sin(phi), zero, zero], axis=-1)
     d_phi = np.stack([-np.sin(phi), np.cos(phi), zero, zero], axis=-1)
-    tau_s = np.stack([zero, zero, -np.sin(u), np.cos(u)], axis=-1)
-    point = fam.preimage_branch(u, offset)
+    tau_s = np.stack([zero[0], zero[0], -np.sin(theta), np.cos(theta)],
+                     axis=-1)
     e2 = (h * d_phi - mval * c * tau_s) / np.hypot(h, mval * c)
-    return point, d_r, e2
-
-
-def _framing_field(fam: FamilyMap, u, offset: float, rot: float):
-    """Normal framing along a branch, rotated rot times per sweep turn."""
-    point, d_r, e2 = _branch_frames(fam, u, offset)
-    ang = rot * np.asarray(u, dtype=float)
-    w = np.cos(ang)[..., None] * d_r + np.sin(ang)[..., None] * e2
-    return point, w
+    ang = rot * theta
+    w = np.cos(ang)[:, None] * d_r + np.sin(ang)[:, None] * e2
+    return np.stack(fam.double_point_pair(theta)), w
 
 
 def _framing_curves(fam: FamilyMap, rot: float, config: Config):
     """The preimage circles and their shifts along the framing field.
 
-    Returns (curves, shifted): one circle of 2 * curve_points vertices for
-    a half-odd m, two of curve_points vertices for an integer m.
+    Returns (curves, shifted): FamilyMap.preimage_components and the framed
+    legs of _framed_legs shifted and joined the same way, one circle of
+    2 * curve_points vertices for a half-odd m, two of curve_points
+    vertices for an integer m.
     """
-    delta = 8e-3
     n = config.curve_points
-    if fam.m.is_integer:
-        grids = [(np.linspace(0, 2 * np.pi, n, endpoint=False), 0.0),
-                 (np.linspace(0, 2 * np.pi, n, endpoint=False), np.pi)]
-    else:
-        grids = [(np.linspace(0, 4 * np.pi, 2 * n, endpoint=False), 0.0)]
-    curves = [fam.preimage_branch(g, off) for g, off in grids]
-    shifted = []
-    for g, off in grids:
-        point, w = _framing_field(fam, g, off, rot)
-        shifted.append(point + delta * w)
-    return curves, shifted
+    points, w = _framed_legs(fam, rot, n)
+    return fam.preimage_components(n), fam.join_legs(points + 8e-3 * w)
 
 
 def _framing_null_homologous(fam: FamilyMap, rot: float,
@@ -391,40 +382,27 @@ def _framing_null_homologous(fam: FamilyMap, rot: float,
 def _pushoff_curve(fam: FamilyMap, rot: float, config: Config) -> np.ndarray:
     """Pushoff of the image double circle along the framed sheet field.
 
-    At each point of the double circle the pushoff direction is the sum of
-    the two sheet images of the branch framings, v = df(w_1) + df(w_2).
-    The polyline returned is oriented by the orientation the two ordered
-    sheets induce on the double circle (independent of their order since
-    the codimension is even).
+    At each point of the circle FamilyMap.self_intersection_image the
+    pushoff direction is the sum of the two sheet images of the framed
+    legs of _framed_legs, v = df(w_1) + df(w_2); the legs of one sweep
+    grid pass through both sheets for every m.  The polyline returned is
+    oriented by the orientation the two ordered sheets induce on the double
+    circle (independent of their order since the codimension is even).
     """
-    n = config.curve_points
-    theta = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    if fam.m.is_integer:
-        legs = [(theta, 0.0), (theta, np.pi)]
-    else:
-        legs = [(theta, 0.0), (theta + 2 * np.pi, 0.0)]
-    v = np.zeros((n, 5))
-    points = []
-    for g, off in legs:
-        point, w = _framing_field(fam, g, off, rot)
-        jac = fam.ambient_jacobian(point)
-        v += np.einsum("nij,nj->ni", jac, w)
-        points.append(point)
+    points, w = _framed_legs(fam, rot, config.curve_points)
+    v = np.einsum("lnij,lnj->ni", fam.ambient_jacobian(points), w)
     norms = np.linalg.norm(v, axis=1)
     if norms.min() < 1e-3:
         raise ArithmeticError("sheet pushoff directions nearly cancel; "
                               "the framing field is degenerate")
-    rho = fam.double_point_radius
-    zero = np.zeros_like(theta)
-    circle = np.stack([zero, zero, rho * np.cos(theta), rho * np.sin(theta),
-                       zero], axis=-1)
+    circle = fam.self_intersection_image(config.curve_points)
     curve = circle + config.push_distance * v / norms[:, None]
-    if _induced_circle_sign(fam, points, theta, config) < 0:
+    if _induced_circle_sign(fam, points, circle, config) < 0:
         curve = curve[::-1]
     return curve
 
 
-def _induced_circle_sign(fam: FamilyMap, sheet_points, theta,
+def _induced_circle_sign(fam: FamilyMap, sheet_points, circle,
                          config: Config) -> int:
     """Sign of the induced orientation of the image double circle.
 
@@ -437,12 +415,10 @@ def _induced_circle_sign(fam: FamilyMap, sheet_points, theta,
     def constraint(x):
         return domain_constraint(x, fam.params)
 
-    rho = fam.double_point_radius
-    probes = range(0, len(theta), max(1, len(theta) // 7))
+    probes = range(0, len(circle), max(1, len(circle) // 7))
     signs = set()
     for i in probes:
-        qdot = np.array([0.0, 0.0, -rho * np.sin(theta[i]),
-                         rho * np.cos(theta[i]), 0.0])
+        qdot = np.array([0.0, 0.0, -circle[i, 3], circle[i, 2], 0.0])
         cols = [qdot]
         for pts in sheet_points:
             x = pts[i]
@@ -458,11 +434,6 @@ def _induced_circle_sign(fam: FamilyMap, sheet_points, theta,
         raise ArithmeticError("induced orientation probes disagree along "
                               "the double circle")
     return signs.pop()
-
-
-def _family_pushoff_link(fam: FamilyMap, rot: float, config: Config) -> int:
-    curve = _pushoff_curve(fam, rot, config)
-    return numtopo.link_1cycle_3manifold(curve, fam, config)
 
 
 def lk_of_family(m, config: Config = DEFAULT) -> int:
@@ -485,7 +456,8 @@ def lk_of_family(m, config: Config = DEFAULT) -> int:
     fam = FamilyMap(m, config=config)
     for rot in (-m.twice, m.twice):
         if _framing_null_homologous(fam, rot, config):
-            return _family_pushoff_link(fam, rot, config)
+            return numtopo.link_1cycle_3manifold(
+                _pushoff_curve(fam, rot, config), fam, config)
     raise ArithmeticError("no admissible preimage framing found; the "
                           "null-homology self-check failed both handedness "
                           "candidates")

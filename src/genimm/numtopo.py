@@ -46,7 +46,10 @@ first, then the tangent or frame, make a positive basis.  The one helper
 oriented_complement completes rows that way, and every frame and tangent
 here comes from it: the frames normal to a value or projection direction,
 the positive tangent basis of the domain, the stereographic basis (the
-complement of minus the pole) and the tracer's unit tangent.
+complement of minus the pole) and the tracer's unit tangent.  A solved
+square system holds the rule already, so its Jacobian J at the solution
+signs it: det(W^T J) a degree_S3 preimage and -det J a curtain crossing,
+whose system, from the one 5-space _domain_system, has the normal as G row.
 """
 
 from __future__ import annotations
@@ -800,6 +803,26 @@ def hopf_invariant(map_fn, config: Config = DEFAULT, *, to_sphere,
 # numerical self-intersection of the immersed sphere
 
 
+def _domain_system(manifold, config: Config):
+    """x -> [f(x), G(x)] and x -> [df(x); grad G(x)], shapes (N, 6) and
+    (N, 6, 4) at N points of R^4: f and df from manifold.ambient_eval and
+    ambient_jacobian, G the domain_constraint of manifold.params with its
+    central-difference gradient.  solve_self_intersection and
+    _curtain_crossings assemble their systems from it."""
+    def constraint(x):
+        return domain_constraint(x, manifold.params)
+
+    def system(x):
+        return np.column_stack([manifold.ambient_eval(x), constraint(x)])
+
+    def system_jacobian(x):
+        return np.concatenate(
+            [manifold.ambient_jacobian(x),
+             fd_jacobian(constraint, x, config.fd_step)[:, None]], axis=1)
+
+    return system, system_jacobian
+
+
 @dataclasses.dataclass(frozen=True)
 class SelfIntersection:
     """One double-point curve of an immersion, found numerically.
@@ -858,9 +881,10 @@ def _double_point_seeds(family, config: Config):
 def solve_self_intersection(family, config: Config = DEFAULT):
     """Trace the double-point curves of a family member numerically.
 
-    Solves the 7 x 8 system f(x) = f(y), G(x) = G(y) = 0 on pairs of
-    points of the domain hypersurface {G = 0}: every _double_point_seeds
-    pair goes through _newton in one batch.  _trace_all traces the
+    Solves the 7 x 8 system f(x) = f(y), G(x) = G(y) = 0, assembled from
+    _domain_system, on pairs of points of the domain hypersurface
+    {G = 0}: every _double_point_seeds pair goes through _newton in one
+    batch.  _trace_all traces the
     solutions whose points lie min_preimage_separation apart in R^8, at
     double_trace_step, each curve covering the solutions in its tube in
     either order.  The seed grid must resolve each traced curve: the
@@ -868,25 +892,18 @@ def solve_self_intersection(family, config: Config = DEFAULT):
     pair_seed_radius, or ArithmeticError names the stage.  Returns one
     SelfIntersection per double curve, in trace order.
     """
-    def constraint(x):
-        return domain_constraint(x, family.params)
+    system, system_jacobian = _domain_system(family, config)
 
     def residual(z, _rows):
-        xy = z.reshape(-1, 4)
-        img = family.ambient_eval(xy).reshape(len(z), 2, 5)
-        return np.concatenate([img[:, 0] - img[:, 1],
-                               constraint(xy).reshape(len(z), 2)], axis=1)
+        v = system(z.reshape(-1, 4)).reshape(len(z), 2, 6)
+        return np.concatenate([v[:, 0, :5] - v[:, 1, :5], v[:, :, 5]], axis=1)
 
     def jacobian(z, _rows):
-        xy = z.reshape(-1, 4)
-        jac = family.ambient_jacobian(xy).reshape(len(z), 2, 5, 4)
-        grad = fd_jacobian(constraint, xy, config.fd_step).reshape(
-            len(z), 2, 4)
+        D = system_jacobian(z.reshape(-1, 4)).reshape(len(z), 2, 6, 4)
         J = np.zeros((len(z), 7, 8))
-        J[:, :5, :4] = jac[:, 0]
-        J[:, :5, 4:] = -jac[:, 1]
-        J[:, 5, :4] = grad[:, 0]
-        J[:, 6, 4:] = grad[:, 1]
+        J[:, :6, :4] = D[:, 0]
+        J[:, :5, 4:] = -D[:, 1, :5]
+        J[:, 6, 4:] = D[:, 1, 5]
         return J
 
     refined, ok = _newton(_double_point_seeds(family, config), residual,
@@ -934,7 +951,7 @@ def _flatten(points, d):
     return points - (points @ d)[..., None] * d
 
 
-def _curtain_crossings(verts, d, seg, manifold, constraint, seeds, img,
+def _curtain_crossings(verts, d, seg, manifold, seeds, img,
                        config: Config) -> int:
     """Signed count of image crossings through the curtain over a polyline.
 
@@ -944,17 +961,21 @@ def _curtain_crossings(verts, d, seg, manifold, constraint, seeds, img,
     it converges.  Seed k, with image img[k], starts on segment seg[k] at
     its projected foot point: u = seg[k] plus the foot clipped to [0, 1],
     and lambda the height of its image above K(u) along d.  The 6 x 6
-    system f(x) = K(u) + lambda d, G(x) = 0, whose u column is -E[i], is
-    solved by _newton to config.newton_tol.  A converged row on the curve
-    itself (|lambda| < config.min_image_separation) raises ValueError.
-    Converged rows with lambda > 0 are deduplicated and signed with the
-    edge of their segment; one within 1e-5 in frac(u) of a vertex or
-    failing the transversality threshold raises _DegenerateChain so the
-    caller can draw a new direction.
+    system f(x) = K(u) + lambda d, G(x) = 0, assembled from _domain_system
+    with u column -E[i] and lambda column -d, is solved by _newton to
+    config.newton_tol.  A converged row on the curve itself
+    (|lambda| < config.min_image_separation) raises ValueError.  Converged
+    rows with lambda > 0 are deduplicated, and each crossing is signed by
+    -sign det J, J the system's Jacobian at the crossing.  A row within
+    1e-5 in frac(u) of a vertex, or a crossing with |det J| below
+    config.jacobian_min_det times the product of J's column norms
+    (Hadamard's bound on |det J|), raises _DegenerateChain so the caller
+    can draw a new direction.
     """
     edge = 1e-5
     n = len(verts)
     E = np.roll(verts, -1, axis=0) - verts
+    system, system_jacobian = _domain_system(manifold, config)
 
     def split(u):
         i = np.floor(u)
@@ -967,17 +988,14 @@ def _curtain_crossings(verts, d, seg, manifold, constraint, seeds, img,
 
     def residual(zz, _rows):
         i, t = split(zz[:, 4])
-        F = np.empty((len(zz), 6))
-        F[:, :5] = (manifold.ambient_eval(zz[:, :4]) - verts[i]
-                    - t[:, None] * E[i] - zz[:, 5, None] * d)
-        F[:, 5] = constraint(zz[:, :4])
+        F = system(zz[:, :4])
+        F[:, :5] = (F[:, :5] - verts[i] - t[:, None] * E[i]
+                    - zz[:, 5, None] * d)
         return F
 
     def jacobian(zz, _rows):
-        x = zz[:, :4]
         J = np.zeros((len(zz), 6, 6))
-        J[:, :5, :4] = manifold.ambient_jacobian(x)
-        J[:, 5, :4] = fd_jacobian(constraint, x, config.fd_step)
+        J[:, :, :4] = system_jacobian(zz[:, :4])
         J[:, :5, 4] = -E[split(zz[:, 4])[0]]
         J[:, :5, 5] = -d
         return J
@@ -989,23 +1007,17 @@ def _curtain_crossings(verts, d, seg, manifold, constraint, seeds, img,
     if np.any(conv & (np.abs(z[:, 5]) < config.min_image_separation)):
         raise ValueError("curve passes too close to the image to link")
     z = z[conv & (z[:, 5] > 0)]
-    i, t = split(z[:, 4])
+    t = split(z[:, 4])[1]
     if np.any((t < edge) | (t > 1.0 - edge)):
         raise _DegenerateChain("crossing near a vertex")
-
-    total = 0
-    for k in _dedupe(z[:, :4], _DEDUPE_RADIUS):
-        x = z[k, :4]
-        nu = manifold.ambient_jacobian(x)
-        D = np.column_stack([E[i[k]], d,
-                             nu @ positive_tangent_basis(constraint, x,
-                                                         config)])
-        val = np.linalg.det(D)
-        if abs(val) < config.jacobian_min_det * np.prod(
-                np.linalg.norm(D, axis=0)):
-            raise _DegenerateChain("near-tangential crossing")
-        total += 1 if val > 0 else -1
-    return total
+    # with B = [unit normal, positive tangent basis T], det B = 1, the G
+    # row of J diag(B, 1, 1) gives det J = -|grad G| det[E, d, df T]
+    J = jacobian(z[_dedupe(z[:, :4], _DEDUPE_RADIUS)], None)
+    det = np.linalg.det(J)
+    if np.any(np.abs(det) < config.jacobian_min_det
+              * np.prod(np.linalg.norm(J, axis=1), axis=1)):
+        raise _DegenerateChain("near-tangential crossing")
+    return int(-np.sign(det).sum())
 
 
 def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
@@ -1015,7 +1027,8 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
     curve is a closed polyline K in R^5 disjoint from the image of
     manifold, an immersion exposing vectorized ambient_eval /
     ambient_jacobian over the star-shaped domain hypersurface
-    {domain_constraint(., params) = 0}, with KinkParams params.  The class
+    {domain_constraint(., params) = 0}, with KinkParams params; repeated
+    consecutive vertices of K are dropped first.  The class
     of the curve in H_1 of the image complement is the signed count of
     crossings of the image through any 2-chain bounding the curve; the
     chain used here is the curtain {K(s) + lambda d : lambda >= 0} that K
@@ -1030,13 +1043,15 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
     point whose image lies within 0.08 of K once both are projected along
     d, paired with the segment of the nearest projected sample.  Each
     crossing, solved by _curtain_crossings on one continuous curve
-    parameter, is signed by
+    parameter, has the sign of
 
         det[B - A, d, f_* b1, f_* b2, f_* b3]
 
     with A B its segment and (b_i) a positive tangent basis of the domain,
     outward normal first, so a curve bounding a small disk that meets the
-    image once positively gets +1.  The count is independent of d.  The
+    image once positively gets +1; that sign is -sign det J, J the 6 x 6
+    Jacobian of the curtain system at the crossing.  The count is
+    independent of d.  The
     directions are unit(e5 + 0.06 N(0, I)) drawn from config.seed + 11: a
     crossing within 1e-5 of a vertex or failing the transversality
     threshold moves on to the next, config.apex_retries in all,
@@ -1047,11 +1062,10 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
     verts = _drop_duplicate_endpoint(curve)
     if verts.shape[1] != 5:
         raise ValueError("curve must be a closed polyline in R^5")
+    # a repeated vertex spans a zero-length segment, which has no foot point
+    verts = verts[np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+                  > 1e-13]
     params = manifold.params
-
-    def constraint(x):
-        return domain_constraint(x, params)
-
     if direction is not None:
         directions = [_unit(direction)]
         if directions[0][4] == 0:
@@ -1082,8 +1096,8 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
         img = np.concatenate([grid_img[close], manifold.ambient_eval(flat)])
         seg = np.concatenate([near[close] % n, np.nonzero(ray)[0]])
         try:
-            return _curtain_crossings(verts, d, seg, manifold, constraint,
-                                      seeds, img, config)
+            return _curtain_crossings(verts, d, seg, manifold, seeds, img,
+                                      config)
         except _DegenerateChain as err:
             last_err = err
     raise NonRegularValueError(f"no generic projection direction found: "

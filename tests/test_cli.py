@@ -390,6 +390,17 @@ def test_report_is_reproducible(capsys, tmp_path):
     assert b"closed-form" in a.read_bytes()
 
 
+@pytest.mark.parametrize("target", ["missing/dir/t.txt", "."],
+                         ids=["missing-directory", "directory"])
+def test_report_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path,
+                                                       target):
+    path = tmp_path / target
+    code, out, err = run(capsys, "report", "paper-table", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"genimm: cannot write {path}: ")
+
+
 def test_numeric_report_traces_the_hopf_fibers_once(capsys, monkeypatch):
     calls = []
     hopf_invariant = numtopo.hopf_invariant

@@ -299,6 +299,16 @@ def test_family_double_point_circle():
                            rho * np.cos(theta), rho * np.sin(theta),
                            np.zeros_like(theta)], axis=-1)
         assert np.max(np.linalg.norm(v1 - expect, axis=1)) < 1e-12
+        if fam.m.is_integer:
+            continue
+        # 2 pi m = pi mod 2 pi: the second leg continues the first past a
+        # full sweep, and the two legs joined make the preimage circle
+        assert np.max(np.linalg.norm(
+            fam.preimage_branch(theta + 2 * np.pi, 0.0) - p2, axis=1)) < 1e-12
+        grid = np.linspace(0, 2 * np.pi, 128, endpoint=False)
+        (circle,) = fam.preimage_components(128)
+        assert np.array_equal(circle,
+                              np.concatenate(fam.double_point_pair(grid)))
 
 
 def test_preimage_component_structure():

@@ -15,8 +15,8 @@ from genimm.invariants import (Component5, EmbeddingTest, ImmersionState5,
                                connected_sum5, embedding_test, family_state,
                                lambda_, lk_of_family, reverse_orientation,
                                smale_of_family, tau)
-from genimm.invariants import (_family_pushoff_link, _framing_curves,
-                               _framing_null_homologous, second_column_hopf)
+from genimm.invariants import (_framing_curves, _framing_null_homologous,
+                               _pushoff_curve, second_column_hopf)
 from genimm.geometry import FamilyMap
 from genimm.numtopo import (_unit, choose_pole, gauss_link, projected_link,
                             stereographic)
@@ -331,7 +331,9 @@ def test_trivial_member_general_lk_path_matches_its_shortcut():
     # FamilyMap(0)'s double circle with rotation 0 and counts its curtain
     fam = FamilyMap(0)
     assert _framing_null_homologous(fam, 0, DEFAULT)
-    assert _family_pushoff_link(fam, 0, DEFAULT) == lk_of_family(0) == 0
+    curve = _pushoff_curve(fam, 0, DEFAULT)
+    assert (numtopo.link_1cycle_3manifold(curve, fam, DEFAULT)
+            == lk_of_family(0) == 0)
 
 
 def test_numerical_invariants_match_closed_form_state():

@@ -1213,6 +1213,20 @@ class TestCurtainLink:
             link_1cycle_3manifold(self.meridian(), self.fam, CFG,
                                   direction=(0.3, 0.1, -0.2, 0.5, 0.0))
 
+    def test_doubled_vertex_is_dropped(self):
+        # a repeated vertex spans a zero-length segment, whose seed foot
+        # point was 0 / 0
+        curve = np.insert(self.meridian(), 37, self.meridian()[37], axis=0)
+        assert link_1cycle_3manifold(curve, self.fam, CFG) == -1
+
+    def test_near_tangential_guard(self):
+        # |det J| never reaches Hadamard's bound, the product of the
+        # column norms of J, so at jacobian_min_det = 1 every direction
+        # fails the transversality check
+        config = Config(jacobian_min_det=1.0)
+        with pytest.raises(NonRegularValueError, match="near-tangential"):
+            link_1cycle_3manifold(self.meridian(), self.fam, config)
+
     def test_curve_through_the_image_is_rejected(self):
         # vertex 0 is p itself: the curtain solve lands on the curve, at
         # lambda ~ 0, where no sign can be read
