@@ -274,6 +274,8 @@ def _strata_invariant(args):
 def _strata_paths(args, config: Config):
     if args.paths < 1:
         raise _CliError(2, "--paths must be at least 1")
+    if args.seed < 0:
+        raise _CliError(2, "--seed must be non-negative")
     min_events = 2 if args.action == "verify" else 1
     if args.events < min_events:
         raise _CliError(2, f"strata {args.action} needs --events of at "
@@ -330,23 +332,32 @@ def _parse_m_range(text: str) -> list[HalfInteger]:
     return [HalfInteger(t) for t in range(a.twice, b.twice + 1)]
 
 
-def _cmd_report(args, config: Config) -> int:
-    members = _parse_m_range(args.m_range)
+def _report_text(args, config: Config, members) -> str:
     hopf = invariants.second_column_hopf(config) if args.numeric else None
     rows = [_invariant_row(m, config, args.numeric, hopf) for m in members]
     if args.json:
-        text = json.dumps({"schema": 1, "seed": config.seed,
+        return json.dumps({"schema": 1, "seed": config.seed,
                            "rows": rows}, indent=2) + "\n"
-    else:
-        text = _format_table(rows) + "\n"
-    if args.out:
+    return _format_table(rows) + "\n"
+
+
+def _cmd_report(args, config: Config) -> int:
+    members = _parse_m_range(args.m_range)
+    if not args.out:
+        sys.stdout.write(_report_text(args, config, members))
+        return 0
+    # open the target first, so a bad --out fails before the table is built
+    try:
+        fh = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(2, f"cannot write {args.out}: {exc}") from exc
+    with fh:
+        text = _report_text(args, config, members)
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            fh.write(text)
+            fh.flush()
         except OSError as exc:
             raise _CliError(2, f"cannot write {args.out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -94,6 +94,10 @@ class Config:
             raise ValueError("sign conventions must be +-1")
         if self.sigma_sign not in (-1, 1):
             raise ValueError("sigma_sign must be +-1")
+        # numpy's generators take no negative seed
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or self.seed < 0):
+            raise ValueError("seed must be a non-negative integer")
         # at a margin of 1/2 every sum is within it of an integer, so the
         # "not near an integer" check of numtopo.gauss_link could not fire
         if not (0.0 < self.integer_rounding_margin < 0.5):

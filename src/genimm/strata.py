@@ -377,67 +377,110 @@ class Path:
                                       for e in self.events]})
 
 
+# The random stream of random_paths: numpy's bounded integers without
+# numpy's per-call cost.
+
+_WORDS_PER_BLOCK = 4096
+_UINT32 = 1 << 32
+
+
+class _Draws:
+    """The bounded integers of np.random.default_rng(seed), draw for draw.
+
+    The PCG64 words are read in blocks and split into their low, then
+    their high 32 bits, the order of numpy's next_uint32.  below(n) maps
+    one such half to [0, n) by numpy's rule (Lemire, ACM TOMACS 29, 2019):
+    m = x * n, redrawn while m mod 2^32 falls below (2^32 - n) mod n.
+    """
+
+    __slots__ = ("_bit_generator", "_halves")
+
+    def __init__(self, seed: int):
+        self._bit_generator = np.random.default_rng(seed).bit_generator
+        self._halves = iter(())
+
+    def _half(self) -> int:
+        x = next(self._halves, None)
+        if x is None:
+            words = self._bit_generator.random_raw(_WORDS_PER_BLOCK)
+            halves = np.stack((words & 0xFFFFFFFF, words >> 32), axis=1)
+            self._halves = iter(halves.ravel().tolist())
+            x = next(self._halves)
+        return x
+
+    def below(self, n: int) -> int:
+        """rng.integers(0, n) for 1 <= n < 2**32; n = 1 draws nothing."""
+        if n == 1:
+            return 0
+        if not 1 < n < _UINT32:
+            raise ValueError(f"below(n) needs 1 <= n < 2**32, got {n}")
+        m = self._half() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (_UINT32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._half() * n
+        return m >> 32
+
+
 # The candidate walls at a state, as (kind, sign, operand, detail) fields in
 # the order random_paths draws them; only the chosen one becomes an event.
-# Every draw is an rng.integers call: it skips the Python-level argument
-# handling of rng.choice and consumes the random stream exactly as the
-# rng.choice calls it replaces.
+# Every draw is a _Draws.below call, which consumes the random stream exactly
+# as the rng.integers and rng.choice calls it replaces.
 
 
-def _distinct_pair(rng, n: int) -> tuple[int, int]:
+def _distinct_pair(draws: _Draws, n: int) -> tuple[int, int]:
     """Draw for draw rng.choice(n, size=2, replace=False), for n >= 2:
     Floyd's algorithm over the last two slots, then the final shuffle."""
-    i = int(rng.integers(0, n - 1))
-    j = int(rng.integers(0, n))
+    i = draws.below(n - 1)
+    j = draws.below(n)
     if j == i:
         j = n - 1
-    if rng.integers(0, 2) == 0:
+    if draws.below(2) == 0:
         i, j = j, i
     return i, j
 
 
-def _random_sign(rng) -> int:
+def _random_sign(draws: _Draws) -> int:
     """Draw for draw rng.choice((1, -1))."""
-    return (1, -1)[rng.integers(0, 2)]
+    return (1, -1)[draws.below(2)]
 
 
-def _candidate_events_5(state: ImmersionState5, rng) -> list[tuple]:
+def _candidate_events_5(state: ImmersionState5, draws: _Draws) -> list[tuple]:
     comps = state.components
-    kind = (ELLIPTIC_TANGENCY, HYPERBOLIC_TANGENCY)[rng.integers(0, 2)]
-    out = [(kind, 1, (int(rng.integers(0, len(comps) + 1)),), "birth")]
+    kind = (ELLIPTIC_TANGENCY, HYPERBOLIC_TANGENCY)[draws.below(2)]
+    out = [(kind, 1, (draws.below(len(comps) + 1),), "birth")]
     trivial = [i for i, c in enumerate(comps) if c == _TRIVIAL5]
     if trivial:
-        out.append((kind, -1, (trivial[rng.integers(0, len(trivial))],),
+        out.append((kind, -1, (trivial[draws.below(len(trivial))],),
                     "death"))
     if len(comps) >= 2:
-        out.append((kind, -1, _distinct_pair(rng, len(comps)), "merge"))
+        out.append((kind, -1, _distinct_pair(draws, len(comps)), "merge"))
     if comps:
-        i = int(rng.integers(0, len(comps)))
-        handed = int(rng.integers(0, 4))
-        at = int(rng.integers(0, len(comps) + 1))
+        i = draws.below(len(comps))
+        handed = draws.below(4)
+        at = draws.below(len(comps) + 1)
         out.append((kind, 1, (i, at, handed), "split"))
-        out.append((TRIPLE5, _random_sign(rng), (), None))
+        out.append((TRIPLE5, _random_sign(draws), (), None))
     return out
 
 
-def _candidate_events_4(state: ImmersionState4, rng) -> list[tuple]:
+def _candidate_events_4(state: ImmersionState4, draws: _Draws) -> list[tuple]:
     comps = state.surface.components
-    out = [(TANGENCY4, 1, (int(rng.integers(0, len(comps) + 1)),),
-            "sphere-birth"),
+    out = [(TANGENCY4, 1, (draws.below(len(comps) + 1),), "sphere-birth"),
            (TRIPLE4, 1, (), None),
            (QUADRUPLE4, 1, (), None),
-           (QUINTUPLE4, _random_sign(rng), (), None)]
+           (QUINTUPLE4, _random_sign(draws), (), None)]
     spheres = [i for i, c in enumerate(comps) if c == surfaces.SPHERE]
     if spheres:
-        out.append((TANGENCY4, -1, (spheres[rng.integers(0, len(spheres))],),
+        out.append((TANGENCY4, -1, (spheres[draws.below(len(spheres))],),
                     "sphere-death"))
     if comps:
-        i = int(rng.integers(0, len(comps)))
-        out.append((TANGENCY4, -1, (i,), "handle-attach"))
+        out.append((TANGENCY4, -1, (draws.below(len(comps)),),
+                    "handle-attach"))
     handled = [i for i, c in enumerate(comps)
                if c.genus_or_crosscaps >= (1 if c.orientable else 3)]
     if handled:
-        out.append((TANGENCY4, 1, (handled[rng.integers(0, len(handled))],),
+        out.append((TANGENCY4, 1, (handled[draws.below(len(handled))],),
                     "handle-remove"))
     if state.T >= 1:
         out.append((TRIPLE4, -1, (), None))
@@ -456,7 +499,7 @@ def random_paths(initial: State, events_per_path: int, n_paths: int,
     """
     if events_per_path < 0 or n_paths < 0:
         raise ValueError("events_per_path and n_paths must be non-negative")
-    rng = np.random.default_rng(seed)
+    draws = _Draws(seed)
     candidates = (_candidate_events_5 if isinstance(initial, ImmersionState5)
                   else _candidate_events_4)
     events_seen: dict[tuple, StratumEvent] = {}
@@ -465,8 +508,8 @@ def random_paths(initial: State, events_per_path: int, n_paths: int,
     for _ in range(n_paths):
         events, states = [], [initial]
         while len(events) < events_per_path:
-            cands = candidates(states[-1], rng)
-            fields = cands[rng.integers(0, len(cands))]
+            cands = candidates(states[-1], draws)
+            fields = cands[draws.below(len(cands))]
             event = events_seen.get(fields)
             if event is None:
                 event = events_seen[fields] = StratumEvent(*fields)

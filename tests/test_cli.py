@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from genimm import cli, numtopo, qform
+from genimm import cli, invariants, numtopo, qform
 from genimm.invariants import ImmersionState5, Component5
 from genimm.surfaces import rp3_fixture
 
@@ -293,6 +293,22 @@ def test_strata_custom_requires_affine(capsys):
     assert "--affine" in err
 
 
+@pytest.mark.parametrize("action", ["verify", "invariance"])
+def test_strata_negative_seed_is_a_usage_error(capsys, action):
+    code, out, err = run(capsys, "strata", action, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "genimm: --seed must be non-negative\n"
+
+
+def test_negative_config_seed_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "genimm.cfg"
+    cfg.write_text("seed = -1\n")
+    code, _, err = run(capsys, "--config", str(cfg), "strata", "verify")
+    assert code == 2
+    assert "seed must be a non-negative integer" in err
+
+
 def test_strata_invariance_finds_witness(capsys):
     code, out, _ = run(capsys, "strata", "invariance", "--invariant", "J",
                        "--paths", "50", "--events", "5", "--json")
@@ -399,6 +415,30 @@ def test_report_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path,
     assert code == 2
     assert out == ""
     assert err.startswith(f"genimm: cannot write {path}: ")
+
+
+def test_unwritable_out_fails_before_the_table_is_built(capsys, tmp_path,
+                                                       monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("the table was built before --out was opened")
+
+    monkeypatch.setattr(invariants, "second_column_hopf", not_called)
+    path = tmp_path / "missing" / "dir" / "t.txt"
+    code, out, err = run(capsys, "report", "paper-table", "--numeric",
+                         "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"genimm: cannot write {path}: ")
+
+
+def test_report_out_holds_the_stdout_bytes(capsys, tmp_path):
+    path = tmp_path / "t.txt"
+    for extra in ((), ("--json",)):
+        code, out, _ = run(capsys, "report", "paper-table", *extra)
+        assert code == 0
+        assert run(capsys, "report", "paper-table", *extra,
+                   "--out", str(path)) == (0, "", "")
+        assert path.read_text(encoding="utf-8") == out
 
 
 def test_numeric_report_traces_the_hopf_fibers_once(capsys, monkeypatch):

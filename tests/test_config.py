@@ -71,3 +71,11 @@ def test_iteration_caps_must_be_at_least_one(key, value):
     # no Newton step or tracer step would leave every solve unconverged
     with pytest.raises(ValueError, match=key):
         Config(**{key: value})
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, "7", True])
+def test_seed_must_be_a_non_negative_integer(value):
+    # numpy's generators reject a negative seed deep inside an engine
+    with pytest.raises(ValueError, match="seed"):
+        Config(seed=value)
+

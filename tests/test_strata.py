@@ -285,16 +285,49 @@ def test_random_paths_keep_the_eager_random_stream(length, start):
 
 
 def test_integer_draws_reproduce_rng_choice():
-    # random_paths draws with rng.integers only; a numpy whose choice
+    # random_paths draws bounded integers only; a numpy whose choice
     # consumes the stream differently fails here first
     for n in range(2, 17):
         for seed in range(100):
-            ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            ref, got = np.random.default_rng(seed), strata._Draws(seed)
             want = tuple(int(v) for v in ref.choice(n, size=2,
                                                     replace=False))
             assert strata._distinct_pair(got, n) == want, (n, seed)
             assert strata._random_sign(got) == int(ref.choice((1, -1)))
-            assert got.integers(0, 1 << 40) == ref.integers(0, 1 << 40)
+            # both streams stand at the same 32-bit half afterwards
+            assert got.below((1 << 32) - 1) == ref.integers(0, (1 << 32) - 1)
+
+
+# one-value ranges, which draw nothing; small ranges; and ranges near
+# 3 * 2**30, where a quarter of the halves are redrawn
+DRAW_BOUNDS = (1, 2, 3, 4, 7, 13, 1, 1, 1000, 3 << 30, (3 << 30) + 1,
+               (1 << 31) + 1, (1 << 32) - 1)
+
+
+def test_draws_reproduce_rng_integers():
+    for seed in range(100):
+        pick = np.random.default_rng(1000 + seed)
+        bounds = [DRAW_BOUNDS[k] for k in pick.integers(0, len(DRAW_BOUNDS),
+                                                        size=200)]
+        ref, got = np.random.default_rng(seed), strata._Draws(seed)
+        assert [got.below(n) for n in bounds] == \
+            [int(ref.integers(0, n)) for n in bounds], seed
+
+
+def test_draws_cross_a_block_boundary():
+    # a block of 4,096 words gives 8,192 halves; 5,000 draws below
+    # 3 * 2**30 (a quarter of their halves redrawn) and 5,000 below 6 read
+    # about 11,700 halves
+    ref, got = np.random.default_rng(5), strata._Draws(5)
+    bounds = [3 << 30, 6, 1] * 5000
+    assert [got.below(n) for n in bounds] == \
+        [int(ref.integers(0, n)) for n in bounds]
+
+
+@pytest.mark.parametrize("n", [0, -1, 1 << 32, 1 << 40])
+def test_draws_outside_the_32_bit_range_raise(n):
+    with pytest.raises(ValueError):
+        strata._Draws(0).below(n)
 
 
 def test_random_paths_reject_negative_counts():
