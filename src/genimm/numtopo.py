@@ -37,9 +37,10 @@ crossings, fiber and double-curve seeds, and both stages of the one
 tracer, _trace_closed_curve, which follows closed level curves (Hopf
 fibers and double-point curves) from a residual and its Jacobian alone:
 the corrector of a coarse sequential predictor-corrector walk, then one
-batch per refinement level for the chord midpoints; its one cover loop,
-_trace_all, finds every fiber and double curve.  Converged solutions are
-deduplicated by _dedupe within _DEDUPE_RADIUS.
+batch per refinement level for the chord midpoints.  A double-point curve
+is walked only up to the swap of its start when it passes there.  Its one
+cover loop, _trace_all, finds every fiber and double curve.  Converged
+solutions are deduplicated by _dedupe within _DEDUPE_RADIUS.
 
 Every sign rests on one orientation rule: the normal or the Jacobian rows
 first, then the tangent or frame, make a positive basis.  The one helper
@@ -58,7 +59,6 @@ import dataclasses
 import itertools
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .config import Config, DEFAULT
 from .geometry import domain_constraint, fd_jacobian, radial_point
@@ -82,6 +82,14 @@ class SignedCount:
     @property
     def count(self) -> int:
         return int(len(self.signs))
+
+
+def _kdtree(points):
+    """A scipy.spatial.cKDTree of the points.  scipy is imported on the
+    first call, so the combinatorial modules, which import this one, run
+    without it."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
 
 
 def _unit(v):
@@ -151,7 +159,7 @@ def gauss_link_raw(curve_a, curve_b, config: Config = DEFAULT) -> float:
     b = _drop_duplicate_endpoint(curve_b)
     if a.shape[1] != 3 or b.shape[1] != 3:
         raise ValueError("curves must lie in R^3")
-    if cKDTree(b).query(a)[0].min() < config.min_image_separation:
+    if _kdtree(b).query(a)[0].min() < config.min_image_separation:
         raise ValueError("curves are too close to link reliably")
     a_wrap = np.concatenate([a, a[:1]])
     b_wrap = np.concatenate([b, b[:1]])
@@ -213,8 +221,8 @@ def _projected_crossings(a, b, d, config: Config):
     # (1/2 + m) |ua| of the midpoint, so no pair the margin test reads is
     # dropped here
     m = _CROSSING_MARGIN
-    near = cKDTree(mid_a).query_ball_tree(
-        cKDTree(mid_b), (0.5 + m) * (len_a.max() + len_b.max()))
+    near = _kdtree(mid_a).query_ball_tree(
+        _kdtree(mid_b), (0.5 + m) * (len_a.max() + len_b.max()))
     i = np.repeat(np.arange(len(a)), [len(js) for js in near])
     j = np.fromiter(itertools.chain.from_iterable(near), dtype=int,
                     count=len(i))
@@ -270,7 +278,7 @@ def crossing_link(curve_a, curve_b, config: Config = DEFAULT,
     b = _drop_duplicate_endpoint(curve_b)
     if a.shape[1] != 3 or b.shape[1] != 3:
         raise ValueError("curves must lie in R^3")
-    if cKDTree(b).query(a)[0].min() < config.min_image_separation:
+    if _kdtree(b).query(a)[0].min() < config.min_image_separation:
         raise ValueError("curves are too close to link reliably")
     if direction is not None:
         directions = [_unit(direction)]
@@ -351,6 +359,12 @@ def _cross4(u, v, w):
     return minors
 
 
+# Segment-vertex pairs per block of the cone count, so that its n_a x n_b
+# arrays stay a few MB whatever the fiber lengths.  It sets only the
+# summation order.
+_CONE_PAIR_BUDGET = 1 << 16
+
+
 def _cone_crossings(apex, a, a_next, b):
     """Signed crossings of curve b through the spherical cone over curve a.
 
@@ -364,14 +378,14 @@ def _cone_crossings(apex, a, a_next, b):
     unit sphere, the crossing sign is sign(d_j+1 - d_j).  The coordinates
     are least-squares ones, taken for every crossing at once from the
     stacked pseudo-inverses of the 4 x 3 triangle spans; so are those of
-    the b vertices that lie on a supporting hyperplane.  Returns None when
-    a crossing is too close to a triangle edge to call, or a vertex on a
-    supporting hyperplane is near its triangle.
+    the b vertices that lie on a supporting hyperplane.  The rows of a are
+    taken in blocks of _CONE_PAIR_BUDGET segment-vertex pairs.  Returns
+    None when a crossing is too close to a triangle edge to call, or a
+    vertex on a supporting hyperplane is near its triangle.
     """
     x_vec = _cross4(np.broadcast_to(apex, a.shape), a, a_next)
-    d = x_vec @ b.T
-    scale = (np.linalg.norm(x_vec, axis=1, keepdims=True)
-             * np.linalg.norm(b, axis=1)[None, :])
+    x_norm = np.linalg.norm(x_vec, axis=1, keepdims=True)
+    b_norm = np.linalg.norm(b, axis=1)[None, :]
     inverse = np.linalg.pinv(
         np.stack([np.broadcast_to(apex, a.shape), a, a_next], axis=-1))
 
@@ -380,21 +394,28 @@ def _cone_crossings(apex, a, a_next, b):
         bound = slack * np.linalg.norm(w, axis=1, keepdims=True)
         return coeff, bound, np.all(coeff > -bound, axis=1)
 
-    # a vertex almost on a supporting hyperplane is harmless unless it is
-    # also near that triangle, where the crossing count would be ambiguous
-    i, j = np.nonzero(np.abs(d) < 1e-9 * np.maximum(scale, 1e-30))
-    if np.any(near_triangle(i, b[j], 1e-6)[2]):
-        return None
+    total = 0
+    rows = max(1, _CONE_PAIR_BUDGET // len(b))
+    for lo in range(0, len(a), rows):
+        d = x_vec[lo:lo + rows] @ b.T
+        scale = x_norm[lo:lo + rows] * b_norm
+        # a vertex almost on a supporting hyperplane is harmless unless it
+        # is also near that triangle, where the crossing count would be
+        # ambiguous
+        i, j = np.nonzero(np.abs(d) < 1e-9 * np.maximum(scale, 1e-30))
+        if np.any(near_triangle(i + lo, b[j], 1e-6)[2]):
+            return None
 
-    i, j = np.nonzero(np.sign(d) != np.sign(np.roll(d, -1, axis=1)))
-    jn = (j + 1) % d.shape[1]
-    u = (d[i, j] / (d[i, j] - d[i, jn]))[:, None]
-    coeff, bound, inside_closed = near_triangle(
-        i, (1.0 - u) * b[j] + u * b[jn], 1e-9)
-    if np.any(inside_closed & np.any(coeff < bound, axis=1)):
-        return None  # crossing on a triangle edge, apex not generic
-    sign = np.where(d[i, jn] > d[i, j], 1, -1)
-    return int(sign[np.all(coeff > 0, axis=1)].sum())
+        i, j = np.nonzero(np.sign(d) != np.sign(np.roll(d, -1, axis=1)))
+        jn = (j + 1) % d.shape[1]
+        u = (d[i, j] / (d[i, j] - d[i, jn]))[:, None]
+        coeff, bound, inside_closed = near_triangle(
+            i + lo, (1.0 - u) * b[j] + u * b[jn], 1e-9)
+        if np.any(inside_closed & np.any(coeff < bound, axis=1)):
+            return None  # crossing on a triangle edge, apex not generic
+        sign = np.where(d[i, jn] > d[i, j], 1, -1)
+        total += int(sign[np.all(coeff > 0, axis=1)].sum())
+    return total
 
 
 def spherical_cone_link(curve_a, curve_b, config: Config = DEFAULT,
@@ -412,7 +433,7 @@ def spherical_cone_link(curve_a, curve_b, config: Config = DEFAULT,
     b = _unit(_drop_duplicate_endpoint(curve_b))
     if a.shape[1] != 4 or b.shape[1] != 4:
         raise ValueError("curves must be given by rays in R^4")
-    if cKDTree(b).query(a)[0].min() < config.min_image_separation:
+    if _kdtree(b).query(a)[0].min() < config.min_image_separation:
         raise ValueError("curves are too close to link reliably")
     a_next = np.roll(a, -1, axis=0)
     keep = np.linalg.norm(a_next - a, axis=1) > 1e-13
@@ -455,7 +476,7 @@ _DEDUPE_RADIUS = 1e-6
 def _dedupe(points, radius):
     """Indices, in order, of the points not within radius of an earlier
     kept point: the first point of each cluster."""
-    tree = cKDTree(points)
+    tree = _kdtree(points)
     taken = np.zeros(len(points), dtype=bool)
     keep = []
     while not taken.all():
@@ -665,33 +686,44 @@ def _rejected_midpoints(a, b, z, converged, J):
 
 
 def _trace_closed_curve(start, residual, jacobian, tol, step, config: Config,
-                        shifts):
+                        shifts, swap=None):
     """A closed regular curve {F = 0} through start, sampled with chords
-    at most step long; returns the vertices and the number of rejected
-    midpoints.
+    at most step long; returns the vertices, the number of rejected
+    midpoints and whether the walk closed on the swapped start.
 
     The residual and jacobian are those of _newton.  A coarse _walk with
     K = config.trace_coarse_factor goes round the curve at just under K
     times step (_COARSE_SHORTFALL) until it returns, within K times
     config.trace_closure_tol, to start modulo one of the shift vectors,
     which list the period lattice (just the zero vector for a curve in
-    R^n).  Then, one level at a time, the midpoint of every chord longer
-    than step, the closing chord to the shifted start included, is
-    corrected in one _newton batch onto the curve and the hyperplane that
-    bisects its chord (Allgower and Georg, Numerical Continuation Methods,
-    1990).  A midpoint that fails _rejected_midpoints has the arc of its
-    chord re-traced by a _walk at step instead.
+    R^n).  A swap, a coordinate permutation that maps the solution set
+    onto itself (the exchange of the two points of a double-point pair),
+    is walked as a symmetry of the curve: the walk also ends at start[swap]
+    modulo a shift, whichever it reaches first.  A curve through both is
+    invariant under the swap and its second half is the swap of the first,
+    so only the arc from start to start[swap] is traced and refined; the
+    closed curve is the arc followed by arc[:, swap].  Then, one level at a
+    time, the midpoint of every chord longer than step, the closing chord
+    to the end reached included, is corrected in one _newton batch onto the
+    curve and the hyperplane that bisects its chord (Allgower and Georg,
+    Numerical Continuation Methods, 1990).  A midpoint that fails
+    _rejected_midpoints has the arc of its chord re-traced by a _walk at
+    step instead.
     """
     k = config.trace_coarse_factor
-    pts, end = _walk(start, start + np.asarray(shifts), residual, jacobian,
-                     tol, _COARSE_SHORTFALL * k * step,
+    ends = start + np.asarray(shifts)
+    if swap is not None:
+        ends = np.concatenate([ends, start[swap] + np.asarray(shifts)])
+    pts, end = _walk(start, ends, residual, jacobian, tol,
+                     _COARSE_SHORTFALL * k * step,
                      k * config.trace_closure_tol, 6, config, "coarse walk")
+    swapped = bool(np.all(end == ends[len(shifts):], axis=1).any())
     rejected = 0
     while True:
         chord = np.diff(pts, axis=0, append=end[None])
         long = np.nonzero(np.linalg.norm(chord, axis=1) > step)[0]
         if len(long) == 0:
-            return pts, rejected
+            return pts, rejected, swapped
         a, c = pts[long], chord[long]
         mid = a + 0.5 * c
 
@@ -719,20 +751,26 @@ def _trace_closed_curve(start, residual, jacobian, tol, step, config: Config,
 
 def _trace_all(points, residual, jacobian, tol, step, config: Config, shifts,
                swap=None):
-    """Every closed level curve through the points, each traced once.
+    """Every closed level curve through the points, each traced once by
+    _trace_closed_curve; returns (vertices, swapped) per curve.
 
     The points lie on the level set: the callers refine their seeds in one
-    _newton batch first.  The first point not yet covered is traced by
-    _trace_closed_curve; then every point within 3 step of the curve moved
-    by a shift, or given swap, of its coordinate-swapped copy, is covered."""
+    _newton batch first.  The first point not yet covered is traced; then
+    every point within 3 step of the traced vertices or, given swap, of
+    their coordinate-swapped copy, each moved by a shift, is covered.  A
+    swapped curve is the arc of its vertices followed by their swap, so the
+    two copies cover it, and an unswapped one with its swap covers the
+    other curve of the pair."""
     curves = []
     covered = np.zeros(len(points), dtype=bool)
     while not covered.all():
-        curve = _trace_closed_curve(points[np.argmin(covered)], residual,
-                                    jacobian, tol, step, config, shifts)[0]
-        curves.append(curve)
+        curve, _, swapped = _trace_closed_curve(
+            points[np.argmin(covered)], residual, jacobian, tol, step,
+            config, shifts, swap)
+        curves.append((curve, swapped))
         copies = [curve] if swap is None else [curve, curve[:, swap]]
-        tree = cKDTree(np.concatenate([c + s for c in copies for s in shifts]))
+        tree = _kdtree(np.concatenate([c + s for c in copies
+                                       for s in shifts]))
         covered |= tree.query(points)[0] < 3 * step
     return curves
 
@@ -745,8 +783,9 @@ def _fibers_param(map_fn, v, config: Config, jac_fn=None):
     x[:, ::2] %= 2 * np.pi
     shifts = [np.array([2 * np.pi * i, 0.0, 2 * np.pi * j])
               for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    return _trace_all(x, residual, jacobian, config.trace_corrector_tol,
-                      config.trace_step, config, shifts)
+    return [curve for curve, _ in _trace_all(
+        x, residual, jacobian, config.trace_corrector_tol, config.trace_step,
+        config, shifts)]
 
 
 def hopf_invariant(map_fn, config: Config = DEFAULT, *, to_sphere,
@@ -829,8 +868,10 @@ class SelfIntersection:
 
     preimage_components holds one closed polyline on the domain when the
     two branches over the double curve merge into a single circle, and two
-    polylines otherwise.  image_curve is the corresponding polyline in R^5
-    traced along the first branch.
+    polylines otherwise.  A merged circle is its traced arc of first points
+    followed by the arc of second points, the second half of the pair loop
+    being the swap of the first.  image_curve is the closed polyline in R^5
+    of the arc's first points, one cover of the double curve either way.
     """
 
     preimage_components: tuple
@@ -865,7 +906,7 @@ def _double_point_seeds(family, config: Config):
     img = family.ambient_eval(pts)
     # neighbours past the radius come back as (inf, len(img)); the close
     # mask drops them before nbr is read
-    dist, nbr = cKDTree(img).query(
+    dist, nbr = _kdtree(img).query(
         img, k=13, distance_upper_bound=config.pair_seed_radius)
     close = dist[:, 1:] < config.pair_seed_radius
     i, j = np.nonzero(close)[0], nbr[:, 1:][close]
@@ -884,11 +925,17 @@ def solve_self_intersection(family, config: Config = DEFAULT):
     Solves the 7 x 8 system f(x) = f(y), G(x) = G(y) = 0, assembled from
     _domain_system, on pairs of points of the domain hypersurface
     {G = 0}: every _double_point_seeds pair goes through _newton in one
-    batch.  _trace_all traces the
-    solutions whose points lie min_preimage_separation apart in R^8, at
-    double_trace_step, each curve covering the solutions in its tube in
-    either order.  The seed grid must resolve each traced curve: the
-    nearest grid points of each vertex pair have images closer than
+    batch.  _trace_all traces the solutions whose points lie
+    min_preimage_separation apart in R^8, at double_trace_step, with the
+    swap (x, y) -> (y, x), which maps the solution set onto itself, as a
+    symmetry: each curve's walk stops at its start or at the swapped
+    start, whichever comes first, and covers the solutions in its tube in
+    either order.  A walk that stops at the swapped start has found a
+    curve of pairs whose two branches merge into one preimage circle; only
+    its arc from (x, y) to (y, x) is traced, and the rest of the loop is
+    the arc swapped.  The seed grid must resolve each traced arc, which
+    holds every pair of the curve in one order or the other: the nearest
+    grid points of each vertex pair have images closer than
     pair_seed_radius, or ArithmeticError names the stage.  Returns one
     SelfIntersection per double curve, in trace order.
     """
@@ -911,17 +958,13 @@ def solve_self_intersection(family, config: Config = DEFAULT):
     ok &= (np.linalg.norm(refined[:, :4] - refined[:, 4:], axis=1)
            >= config.min_preimage_separation)
     grid = _kink_disk_grid(family.params, config.double_seed_rings)
-    swap = [4, 5, 6, 7, 0, 1, 2, 3]
-    step = config.double_trace_step
     results = []
-    for track in _trace_all(refined[ok], residual, jacobian,
-                            config.newton_tol, step, config, [np.zeros(8)],
-                            swap):
-        # the track passes the swapped start exactly when the two branches
-        # over the double curve join into one preimage circle
-        merged = bool(np.any(np.linalg.norm(track[1:] - track[0, swap],
-                                            axis=1) < 1.5 * step))
-        near = grid[cKDTree(grid).query(track.reshape(-1, 4))[1]]
+    for arc, merged in _trace_all(refined[ok], residual, jacobian,
+                                  config.newton_tol, config.double_trace_step,
+                                  config, [np.zeros(8)],
+                                  [4, 5, 6, 7, 0, 1, 2, 3]):
+        # the swapped half of a merged curve holds the arc's pairs swapped
+        near = grid[_kdtree(grid).query(arc.reshape(-1, 4))[1]]
         img = family.ambient_eval(near).reshape(-1, 2, 5)
         gap = np.linalg.norm(img[:, 0] - img[:, 1], axis=1).max()
         if gap >= config.pair_seed_radius:
@@ -929,10 +972,11 @@ def solve_self_intersection(family, config: Config = DEFAULT):
                 f"double-curve seed grid too coarse: nearest grid points of "
                 f"a traced pair have image gap {gap:.3g}, not below "
                 f"pair_seed_radius {config.pair_seed_radius:g}")
-        x_track, y_track = track[:, :4], track[:, 4:]
+        x_arc, y_arc = arc[:, :4], arc[:, 4:]
         results.append(SelfIntersection(
-            preimage_components=(x_track,) if merged else (x_track, y_track),
-            image_curve=family.ambient_eval(x_track),
+            preimage_components=((np.concatenate([x_arc, y_arc]),) if merged
+                                 else (x_arc, y_arc)),
+            image_curve=family.ambient_eval(x_arc),
             merged_cover=merged))
     return results
 
@@ -1084,7 +1128,7 @@ def link_1cycle_3manifold(curve, manifold, config: Config = DEFAULT,
     grid_img = manifold.ambient_eval(grid)
     last_err = None
     for d in directions:
-        tree = cKDTree(_flatten(samples, d))
+        tree = _kdtree(_flatten(samples, d))
         # farther points come back as inf, and only dist < 0.08 is read
         dist, near = tree.query(_flatten(grid_img, d),
                                 distance_upper_bound=0.08)
@@ -1109,7 +1153,7 @@ def _directed_polyline_dist(pts, poly) -> float:
     n = len(poly)
     nxt = np.roll(np.arange(n), -1)
     # candidate segments: the ones adjacent to the four nearest vertices
-    _, idx = cKDTree(poly).query(pts, k=min(4, n))
+    _, idx = _kdtree(poly).query(pts, k=min(4, n))
     idx = np.atleast_2d(idx)
     cand = np.concatenate([idx, (idx - 1) % n], axis=1)
     a = poly[cand]

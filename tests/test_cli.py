@@ -1,10 +1,15 @@
 """Command-line interface: grammar, exit codes, JSON I/O, reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import genimm
 from genimm import cli, invariants, numtopo, qform
 from genimm.invariants import ImmersionState5, Component5
 from genimm.surfaces import rp3_fixture
@@ -549,3 +554,40 @@ def test_count_below_its_least_value_is_a_usage_error(capsys, tmp_path, key,
                          "--m", "1/2")
     assert (code, out) == (2, "")
     assert "config error" in err and key in err
+
+
+# ---------------------------------------------------------------------------
+# dependencies: scipy serves the numeric engines only
+
+
+def run_python(code):
+    """Run code in a fresh interpreter that imports this genimm."""
+    env = dict(os.environ)
+    src = str(Path(genimm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                     env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    done = run_python("import sys, genimm.cli\n"
+                      "assert 'scipy' not in sys.modules, 'scipy loaded'\n")
+    assert done.returncode == 0, done.stderr
+
+
+def test_combinatorial_path_runs_without_scipy():
+    # a None entry makes every import of scipy raise ImportError
+    done = run_python("""
+import sys
+sys.modules["scipy"] = None
+import genimm.cli, genimm.strata
+from genimm import qform, strata
+from genimm.invariants import J, family_state
+
+paths = strata.random_paths(family_state("1/2"), 2, 300, seed=0)
+report = strata.verify_first_order(J, paths)
+assert report.ok and report.checked > 0, report.summary()
+assert qform.brown(qform.direct_sum(qform.p_plus(), qform.p_plus())) == 2
+""")
+    assert done.returncode == 0, done.stderr

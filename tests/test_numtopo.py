@@ -8,6 +8,8 @@ values are checked against closed-form preimages and the classical quaternion
 fibration, whose fibers and their framings are written out exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -312,10 +314,10 @@ class TestOrientedComplement:
             J[:, 1, :2] = 2 * p[:, :2]
             return J
 
-        curve, rejected = numtopo._trace_closed_curve(
+        curve, rejected, swapped = numtopo._trace_closed_curve(
             np.array([1.0, 0.0, 0.0]), residual, jacobian, 1e-10,
             CFG.trace_step, CFG, [np.zeros(3)])
-        assert rejected == 0
+        assert rejected == 0 and not swapped
         assert np.allclose(residual(curve, None), 0.0, atol=1e-10)
         steps = np.diff(curve, axis=0)
         dets = np.linalg.det(np.concatenate(
@@ -405,9 +407,9 @@ class TestRefinement:
             start, residual, jacobian = (np.array([0.0, np.pi / 2, 0.0]),
                                          _box_curve, _box_curve_jacobian)
             shifts = _BOX_SHIFTS
-        curve, rejected = numtopo._trace_closed_curve(
+        curve, rejected, swapped = numtopo._trace_closed_curve(
             start, residual, jacobian, 1e-10, CFG.trace_step, CFG, shifts)
-        assert rejected == 0
+        assert rejected == 0 and not swapped
         end = _assert_certified(curve, residual, jacobian, 1e-10,
                                 CFG.trace_step, shifts)
         shift = end - curve[0]
@@ -421,13 +423,47 @@ class TestRefinement:
 
     def test_coarse_factor_one_is_the_sequential_walk(self):
         # K = 1: the walk already meets the spacing and no level runs
-        curve, rejected = numtopo._trace_closed_curve(
+        curve, rejected, swapped = numtopo._trace_closed_curve(
             np.array([1.0, 0.0, 0.0]), _unit_circle, _unit_circle_jacobian,
             1e-10, CFG.trace_step, CFG.replace(trace_coarse_factor=1),
             [np.zeros(3)])
-        assert rejected == 0
+        assert rejected == 0 and not swapped
         _assert_certified(curve, _unit_circle, _unit_circle_jacobian, 1e-10,
                           CFG.trace_step, [np.zeros(3)])
+
+    @pytest.mark.parametrize("sign, offset, merged", [(-1.0, 0.0, True),
+                                                      (1.0, 3.0, False)])
+    def test_swap_symmetric_curve_is_traced_to_its_swapped_start(
+            self, sign, offset, merged):
+        # pairs (x, y) in R^2 x R^2 with |x| = 1 and y = sign x + (offset, 0).
+        # For y = -x the swap (x, y) -> (y, x) turns the circle by half, so
+        # the walk stops at the swapped start; for y = x + (3, 0) it maps
+        # the circle onto another one, and the walk goes all the way round.
+        swap = [2, 3, 0, 1]
+
+        def residual(p, _rows):
+            d = p[:, 2:] - sign * p[:, :2]
+            return np.column_stack([d[:, 0] - offset, d[:, 1],
+                                    (p[:, :2] ** 2).sum(axis=1) - 1])
+
+        def jacobian(p, _rows):
+            J = np.zeros((len(p), 3, 4))
+            J[:, :2, :2] = -sign * np.eye(2)
+            J[:, :2, 2:] = np.eye(2)
+            J[:, 2, :2] = 2 * p[:, :2]
+            return J
+
+        curve, rejected, swapped = numtopo._trace_closed_curve(
+            np.array([1.0, 0.0, sign + offset, 0.0]), residual, jacobian,
+            1e-10, CFG.trace_step, CFG, [np.zeros(4)], swap)
+        assert rejected == 0 and swapped == merged
+        loop = np.concatenate([curve, curve[:, swap]]) if merged else curve
+        chords = np.diff(loop, axis=0, append=loop[:1])
+        assert np.linalg.norm(chords, axis=1).max() <= CFG.trace_step
+        assert np.abs(residual(loop, None)).max() < 1e-10
+        # the loop goes once round the x circle
+        angle = np.unwrap(np.arctan2(loop[:, 1], loop[:, 0]))
+        assert np.isclose(abs(angle[-1] - angle[0]), 2 * np.pi, atol=0.01)
 
     def test_each_midpoint_check(self):
         # chord (0, 0) -> (1, 0) and J = (0, -1): det[J; chord] = 1.  Each
@@ -486,10 +522,10 @@ class TestRefinement:
                                       "flipped"])
     def test_rejected_midpoint_has_its_arc_retraced(self, monkeypatch, case):
         chord, retraced = self._force(monkeypatch, case)
-        curve, rejected = numtopo._trace_closed_curve(
+        curve, rejected, swapped = numtopo._trace_closed_curve(
             np.array([1.0, 0.0, 0.0]), _two_circles, _two_circles_jacobian,
             1e-10, CFG.trace_step, CFG, [np.zeros(3)])
-        assert rejected == 1
+        assert rejected == 1 and not swapped
         # one fine walk from the spoiled chord's start to its end, whose
         # points are vertices; every vertex is on the inner circle and
         # every chord certified
@@ -696,6 +732,32 @@ class TestConeKernel:
         assert values == [per_hit_cone_crossings(z, a, a_next, b)
                           for z in apexes]
         assert set(values) == {1}
+
+    def test_row_blocks_give_the_one_block_count(self, hopf_fibers,
+                                                 monkeypatch):
+        # generic apexes, then the two non-generic ones of the tests below
+        a, a_next, b = hopf_fibers
+        i, j = 100, 400
+        apexes = list(_unit(np.random.default_rng(24).normal(size=(6, 4))))
+        apexes += [_unit(b[j] - 0.3 * (a[i] + a_next[i])),
+                   _unit(0.5 * (b[j] + b[j + 1]) - 0.5 * a[i])]
+        counts = []
+        for rows in (len(a), 7):
+            monkeypatch.setattr(numtopo, "_CONE_PAIR_BUDGET", rows * len(b))
+            counts.append([_cone_crossings(z, a, a_next, b) for z in apexes])
+        assert counts[0] == counts[1] == [1] * 6 + [None, None]
+
+    def test_block_budget_bounds_the_peak_memory(self, hopf_fibers):
+        # one block over all 907 x 907 pairs peaks at about 33 MB
+        a, a_next, b = hopf_fibers
+        z = _unit(np.random.default_rng(24).normal(size=4))
+        tracemalloc.start()
+        try:
+            assert _cone_crossings(z, a, a_next, b) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_vertex_on_a_supporting_hyperplane_inside_its_triangle(
             self, hopf_fibers):
@@ -998,6 +1060,58 @@ class TestSelfIntersection:
         assert matched == set(range(len(closed)))
         assert hausdorff_distance(si.image_curve,
                                   fam.self_intersection_image(4096)) < 1e-4
+
+    @pytest.mark.parametrize("m, merged", [
+        ("1/2", True), ("1", False), ("-3/2", True), ("0", False)])
+    def test_swap_is_walked_as_a_symmetry(self, monkeypatch, m, merged):
+        # a merged curve is traced from (x, y) to (y, x) only: its closed
+        # loop is the arc followed by the arc swapped, and its image is f of
+        # the arc, one cover of the double curve
+        real_trace_all, real_walk = numtopo._trace_all, numtopo._walk
+        traced, coarse = [], []
+
+        def trace_all(*args):
+            curves = real_trace_all(*args)
+            traced.extend(curves)
+            return curves
+
+        def walk(x, ends, *args):
+            pts, end = real_walk(x, ends, *args)
+            if args[-1] == "coarse walk":
+                coarse.append(len(pts))
+            return pts, end
+
+        monkeypatch.setattr(numtopo, "_trace_all", trace_all)
+        monkeypatch.setattr(numtopo, "_walk", walk)
+        fam = FamilyMap(m, config=CFG)
+        curves = solve_self_intersection(fam, CFG)
+        assert len(curves) == 1 and len(traced) == 1
+        (arc, swapped), si = traced[0], curves[0]
+        assert swapped == si.merged_cover == merged
+        assert np.array_equal(si.image_curve, fam.ambient_eval(arc[:, :4]))
+        if not merged:
+            assert np.array_equal(si.preimage_components[0], arc[:, :4])
+            assert np.array_equal(si.preimage_components[1], arc[:, 4:])
+            return
+        # a coarse walk round the whole loop takes 365 points
+        assert len(coarse) == 1 and coarse[0] <= 0.55 * 365
+        swap = [4, 5, 6, 7, 0, 1, 2, 3]
+        # the preimage circle's second half is the x part of arc[:, swap]
+        circle, n = si.preimage_components[0], len(arc)
+        assert np.array_equal(circle[:n], arc[:, :4])
+        assert np.array_equal(circle[n:], arc[:, swap][:, :4])
+        loop = np.concatenate([arc, arc[:, swap]])
+        step = CFG.double_trace_step
+        chords = np.diff(loop, axis=0, append=loop[:1])
+        assert np.linalg.norm(chords, axis=1).max() <= step
+        system, _ = numtopo._domain_system(fam, CFG)
+        v = system(loop.reshape(-1, 4)).reshape(len(loop), 2, 6)
+        residual = np.concatenate([v[:, 0, :5] - v[:, 1, :5], v[:, :, 5]],
+                                  axis=1)
+        assert np.linalg.norm(residual, axis=1).max() < CFG.newton_tol
+        img = si.image_curve
+        assert np.linalg.norm(img[-1] - img[0]) <= step
+        assert 2 * len(img) == len(circle)
 
     def test_every_seed_pair_is_solved(self, monkeypatch):
         # 700 diagonal pairs (x, x) come before the grid's pairs: Newton
