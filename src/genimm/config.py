@@ -24,6 +24,7 @@ individual values.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 
 ENV_CONFIG_PATH = "GENIMM_CONFIG"
@@ -84,6 +85,11 @@ class Config:
     seed: int = 7
 
     def __post_init__(self):
+        # an infinite step, tolerance or radius passes every bound below
+        # and sends an engine into an endless walk or a wrong integer
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not (0.0 < self.cap_a < 0.25):
             raise ValueError("cap_a must lie in (0, 1/4)")
         if not (0.0 < self.kink_r1 < self.kink_r2):
@@ -102,7 +108,8 @@ class Config:
         # "not near an integer" check of numtopo.gauss_link could not fire
         if not (0.0 < self.integer_rounding_margin < 0.5):
             raise ValueError("integer_rounding_margin must lie in (0, 1/2)")
-        for key, least in (("trace_coarse_factor", 1),
+        for key, least in (("max_qform_dim", 0),
+                           ("trace_coarse_factor", 1),
                            ("double_seed_rings", 1), ("degree_grid", 1),
                            ("curve_points", 3), ("apex_retries", 1),
                            ("newton_max_iter", 1), ("trace_max_steps", 1)):

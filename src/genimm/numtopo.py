@@ -893,17 +893,15 @@ def _kink_disk_grid(params, n):
                               np.tile(2 * np.pi * phi, 4 * n))
 
 
-def _double_point_seeds(family, config: Config):
-    """Seed pairs (x, y), shape (N, 8), on the grid _kink_disk_grid of
-    config.double_seed_rings rings.  Each grid image is paired with its 12
-    nearest images within pair_seed_radius; at the default config the
-    radius drops none of them, so the neighbour count and
-    min_preimage_separation pick the candidates, and the radius decides
-    the resolution check of solve_self_intersection.  Pairs more than
-    min_preimage_separation apart are kept, each unordered pair once
-    (i < j), in order of image gap.  Nothing is capped."""
-    pts = _kink_disk_grid(family.params, config.double_seed_rings)
-    img = family.ambient_eval(pts)
+def _double_point_seeds(pts, img, config: Config):
+    """Seed pairs (x, y), shape (N, 8), among the grid points pts with
+    images img.  Each grid image is paired with its 12 nearest images
+    within pair_seed_radius; at the default config the radius drops none
+    of them, so the neighbour count and min_preimage_separation pick the
+    candidates, and the radius decides the resolution check of
+    solve_self_intersection.  Pairs more than min_preimage_separation
+    apart are kept, each unordered pair once (i < j), in order of image
+    gap.  Nothing is capped."""
     # neighbours past the radius come back as (inf, len(img)); the close
     # mask drops them before nbr is read
     dist, nbr = _kdtree(img).query(
@@ -924,20 +922,22 @@ def solve_self_intersection(family, config: Config = DEFAULT):
 
     Solves the 7 x 8 system f(x) = f(y), G(x) = G(y) = 0, assembled from
     _domain_system, on pairs of points of the domain hypersurface
-    {G = 0}: every _double_point_seeds pair goes through _newton in one
-    batch.  _trace_all traces the solutions whose points lie
-    min_preimage_separation apart in R^8, at double_trace_step, with the
-    swap (x, y) -> (y, x), which maps the solution set onto itself, as a
-    symmetry: each curve's walk stops at its start or at the swapped
-    start, whichever comes first, and covers the solutions in its tube in
-    either order.  A walk that stops at the swapped start has found a
-    curve of pairs whose two branches merge into one preimage circle; only
-    its arc from (x, y) to (y, x) is traced, and the rest of the loop is
-    the arc swapped.  The seed grid must resolve each traced arc, which
-    holds every pair of the curve in one order or the other: the nearest
-    grid points of each vertex pair have images closer than
-    pair_seed_radius, or ArithmeticError names the stage.  Returns one
-    SelfIntersection per double curve, in trace order.
+    {G = 0}: every _double_point_seeds pair of the kink-disk grid of
+    double_seed_rings rings goes through _newton in one batch.  _trace_all
+    traces the solutions whose points lie min_preimage_separation apart in
+    R^8, at double_trace_step, with the swap (x, y) -> (y, x), which maps
+    the solution set onto itself, as a symmetry: each curve's walk stops
+    at its start or at the swapped start, whichever comes first, and covers
+    the solutions in its tube in either order.  A walk that stops at the
+    swapped start has found a curve of pairs whose two branches merge into
+    one preimage circle; only its arc from (x, y) to (y, x) is traced, and
+    the rest of the loop is the arc swapped.  The seed grid must resolve
+    each traced arc, which holds every pair of the curve in one order or
+    the other: the nearest grid points of each vertex pair have images
+    closer than pair_seed_radius, or ArithmeticError names the stage.  The
+    grid and its images are computed once and serve both the seeds and
+    this check.  Returns one SelfIntersection per double curve, in trace
+    order.
     """
     system, system_jacobian = _domain_system(family, config)
 
@@ -953,19 +953,20 @@ def solve_self_intersection(family, config: Config = DEFAULT):
         J[:, 6, 4:] = D[:, 1, 5]
         return J
 
-    refined, ok = _newton(_double_point_seeds(family, config), residual,
-                          jacobian, config.newton_tol, config)
+    grid = _kink_disk_grid(family.params, config.double_seed_rings)
+    grid_img = family.ambient_eval(grid)
+    refined, ok = _newton(_double_point_seeds(grid, grid_img, config),
+                          residual, jacobian, config.newton_tol, config)
     ok &= (np.linalg.norm(refined[:, :4] - refined[:, 4:], axis=1)
            >= config.min_preimage_separation)
-    grid = _kink_disk_grid(family.params, config.double_seed_rings)
     results = []
     for arc, merged in _trace_all(refined[ok], residual, jacobian,
                                   config.newton_tol, config.double_trace_step,
                                   config, [np.zeros(8)],
                                   [4, 5, 6, 7, 0, 1, 2, 3]):
         # the swapped half of a merged curve holds the arc's pairs swapped
-        near = grid[_kdtree(grid).query(arc.reshape(-1, 4))[1]]
-        img = family.ambient_eval(near).reshape(-1, 2, 5)
+        img = grid_img[_kdtree(grid).query(arc.reshape(-1, 4))[1]]
+        img = img.reshape(-1, 2, 5)
         gap = np.linalg.norm(img[:, 0] - img[:, 1], axis=1).max()
         if gap >= config.pair_seed_radius:
             raise ArithmeticError(

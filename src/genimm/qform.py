@@ -275,14 +275,16 @@ def _brown_by_splitting(space: QuadraticSpace) -> int:
 def brown(space: QuadraticSpace, config: Config = DEFAULT) -> int:
     """Brown invariant in Z8, by orthogonal splitting in O(dim**3).
 
-    Spaces of dim at most 6 (and at most ``max_qform_dim``) are certified
-    independently: their Gauss sum must equal sqrt(2)**dim * zeta**m for the
-    value m found by splitting, or ``ValueError`` names both.  Larger spaces
-    are never enumerated, so no dimension cap applies.
+    Spaces of dim at most 6 are certified independently, whatever
+    ``max_qform_dim`` is: their Gauss sum must equal sqrt(2)**dim * zeta**m
+    for the value m found by splitting, or ``ValueError`` names both.
+    Larger spaces are never enumerated, so no dimension cap applies and
+    ``config`` bounds nothing here.
     """
     m = _brown_by_splitting(space)
-    if space.dim <= min(_CERTIFY_MAX_DIM, config.max_qform_dim):
-        g = gauss_sum(space, config)
+    if space.dim <= _CERTIFY_MAX_DIM:
+        # at most 64 vectors, within the default enumeration cap
+        g = gauss_sum(space)
         shift = space.dim // 2
         re, im = _ZETA_UNITS[m]
         if g != (re << shift, im << shift):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -377,139 +378,98 @@ class Path:
                                       for e in self.events]})
 
 
-# The random stream of random_paths: numpy's bounded integers without
-# numpy's per-call cost.
+# One wall at a state, as (kind, sign, operand, detail) fields: uniform over
+# the walls available there, then uniform fields for that wall alone.
 
-_WORDS_PER_BLOCK = 4096
-_UINT32 = 1 << 32
-
-
-class _Draws:
-    """The bounded integers of np.random.default_rng(seed), draw for draw.
-
-    The PCG64 words are read in blocks and split into their low, then
-    their high 32 bits, the order of numpy's next_uint32.  below(n) maps
-    one such half to [0, n) by numpy's rule (Lemire, ACM TOMACS 29, 2019):
-    m = x * n, redrawn while m mod 2^32 falls below (2^32 - n) mod n.
-    """
-
-    __slots__ = ("_bit_generator", "_halves")
-
-    def __init__(self, seed: int):
-        self._bit_generator = np.random.default_rng(seed).bit_generator
-        self._halves = iter(())
-
-    def _half(self) -> int:
-        x = next(self._halves, None)
-        if x is None:
-            words = self._bit_generator.random_raw(_WORDS_PER_BLOCK)
-            halves = np.stack((words & 0xFFFFFFFF, words >> 32), axis=1)
-            self._halves = iter(halves.ravel().tolist())
-            x = next(self._halves)
-        return x
-
-    def below(self, n: int) -> int:
-        """rng.integers(0, n) for 1 <= n < 2**32; n = 1 draws nothing."""
-        if n == 1:
-            return 0
-        if not 1 < n < _UINT32:
-            raise ValueError(f"below(n) needs 1 <= n < 2**32, got {n}")
-        m = self._half() * n
-        if m & 0xFFFFFFFF < n:
-            threshold = (_UINT32 - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = self._half() * n
-        return m >> 32
+_TANGENCIES5 = (ELLIPTIC_TANGENCY, HYPERBOLIC_TANGENCY)
+_SIGNS = (1, -1)
 
 
-# The candidate walls at a state, as (kind, sign, operand, detail) fields in
-# the order random_paths draws them; only the chosen one becomes an event.
-# Every draw is a _Draws.below call, which consumes the random stream exactly
-# as the rng.integers and rng.choice calls it replaces.
-
-
-def _distinct_pair(draws: _Draws, n: int) -> tuple[int, int]:
-    """Draw for draw rng.choice(n, size=2, replace=False), for n >= 2:
-    Floyd's algorithm over the last two slots, then the final shuffle."""
-    i = draws.below(n - 1)
-    j = draws.below(n)
-    if j == i:
-        j = n - 1
-    if draws.below(2) == 0:
-        i, j = j, i
-    return i, j
-
-
-def _random_sign(draws: _Draws) -> int:
-    """Draw for draw rng.choice((1, -1))."""
-    return (1, -1)[draws.below(2)]
-
-
-def _candidate_events_5(state: ImmersionState5, draws: _Draws) -> list[tuple]:
+def _draw_wall_5(state: ImmersionState5, rng: random.Random) -> tuple:
     comps = state.components
-    kind = (ELLIPTIC_TANGENCY, HYPERBOLIC_TANGENCY)[draws.below(2)]
-    out = [(kind, 1, (draws.below(len(comps) + 1),), "birth")]
-    trivial = [i for i, c in enumerate(comps) if c == _TRIVIAL5]
-    if trivial:
-        out.append((kind, -1, (trivial[draws.below(len(trivial))],),
-                    "death"))
-    if len(comps) >= 2:
-        out.append((kind, -1, _distinct_pair(draws, len(comps)), "merge"))
-    if comps:
-        i = draws.below(len(comps))
-        handed = draws.below(4)
-        at = draws.below(len(comps) + 1)
-        out.append((kind, 1, (i, at, handed), "split"))
-        out.append((TRIPLE5, _random_sign(draws), (), None))
-    return out
+    n = len(comps)
+    walls = ["birth"]
+    if _TRIVIAL5 in comps:
+        walls.append("death")
+    if n >= 2:
+        walls.append("merge")
+    if n:
+        walls += ("split", TRIPLE5)
+    wall = walls[rng.randrange(len(walls))]
+    if wall == TRIPLE5:
+        return TRIPLE5, _SIGNS[rng.randrange(2)], (), None
+    kind = _TANGENCIES5[rng.randrange(2)]
+    if wall == "birth":
+        operand = (rng.randrange(n + 1),)
+    elif wall == "death":
+        trivial = [i for i, c in enumerate(comps) if c == _TRIVIAL5]
+        operand = (trivial[rng.randrange(len(trivial))],)
+    elif wall == "merge":
+        i, j = rng.randrange(n), rng.randrange(n - 1)
+        operand = (i, j + (j >= i))
+    else:
+        i, handed = rng.randrange(n), rng.randrange(4)
+        operand = (i, rng.randrange(n + 1), handed)
+    return kind, _TANGENCY5_DETAILS[wall], operand, wall
 
 
-def _candidate_events_4(state: ImmersionState4, draws: _Draws) -> list[tuple]:
+def _draw_wall_4(state: ImmersionState4, rng: random.Random) -> tuple:
     comps = state.surface.components
-    out = [(TANGENCY4, 1, (draws.below(len(comps) + 1),), "sphere-birth"),
-           (TRIPLE4, 1, (), None),
-           (QUADRUPLE4, 1, (), None),
-           (QUINTUPLE4, _random_sign(draws), (), None)]
     spheres = [i for i, c in enumerate(comps) if c == surfaces.SPHERE]
-    if spheres:
-        out.append((TANGENCY4, -1, (spheres[draws.below(len(spheres))],),
-                    "sphere-death"))
-    if comps:
-        out.append((TANGENCY4, -1, (draws.below(len(comps)),),
-                    "handle-attach"))
     handled = [i for i, c in enumerate(comps)
                if c.genus_or_crosscaps >= (1 if c.orientable else 3)]
+    # a (kind, sign) pair is a wall with no field to draw
+    walls = ["sphere-birth", (TRIPLE4, 1), (QUADRUPLE4, 1), QUINTUPLE4]
+    if spheres:
+        walls.append("sphere-death")
+    if comps:
+        walls.append("handle-attach")
     if handled:
-        out.append((TANGENCY4, 1, (handled[draws.below(len(handled))],),
-                    "handle-remove"))
+        walls.append("handle-remove")
     if state.T >= 1:
-        out.append((TRIPLE4, -1, (), None))
+        walls.append((TRIPLE4, -1))
     if state.Q >= 2:
-        out.append((QUADRUPLE4, -1, (), None))
-    return out
+        walls.append((QUADRUPLE4, -1))
+    wall = walls[rng.randrange(len(walls))]
+    if isinstance(wall, tuple):
+        return wall + ((), None)
+    if wall == QUINTUPLE4:
+        return QUINTUPLE4, _SIGNS[rng.randrange(2)], (), None
+    if wall == "sphere-birth":
+        operand = rng.randrange(len(comps) + 1)
+    elif wall == "sphere-death":
+        operand = spheres[rng.randrange(len(spheres))]
+    elif wall == "handle-attach":
+        operand = rng.randrange(len(comps))
+    else:
+        operand = handled[rng.randrange(len(handled))]
+    return TANGENCY4, _TANGENCY4_DETAILS[wall], (operand,), wall
 
 
 def random_paths(initial: State, events_per_path: int, n_paths: int,
                  seed: int = 0) -> Iterator[Path]:
     """Random event paths, every event applicable where it occurs.
 
-    Equal events and equal states drawn by one call are one shared record,
-    and each (state, event) pair is applied once per call.  A negative
-    count raises ValueError.
+    Each step draws one wall uniformly from the walls available at the
+    state, then that wall's fields, from random.Random(seed); a wall that
+    does not apply is drawn again.  Equal events and equal states drawn by
+    one call are one shared record, and each (state, event) pair is applied
+    once per call.  A negative count or seed raises ValueError.
     """
     if events_per_path < 0 or n_paths < 0:
         raise ValueError("events_per_path and n_paths must be non-negative")
-    draws = _Draws(seed)
-    candidates = (_candidate_events_5 if isinstance(initial, ImmersionState5)
-                  else _candidate_events_4)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    rng = random.Random(seed)
+    draw = (_draw_wall_5 if isinstance(initial, ImmersionState5)
+            else _draw_wall_4)
     events_seen: dict[tuple, StratumEvent] = {}
     states_seen: dict[State, State] = {initial: initial}
     applied: dict = {}
     for _ in range(n_paths):
         events, states = [], [initial]
         while len(events) < events_per_path:
-            cands = candidates(states[-1], draws)
-            fields = cands[draws.below(len(cands))]
+            fields = draw(states[-1], rng)
             event = events_seen.get(fields)
             if event is None:
                 event = events_seen[fields] = StratumEvent(*fields)

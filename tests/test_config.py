@@ -79,3 +79,17 @@ def test_seed_must_be_a_non_negative_integer(value):
     with pytest.raises(ValueError, match="seed"):
         Config(seed=value)
 
+
+@pytest.mark.parametrize("key", ["trace_step", "newton_tol", "kink_r2"])
+def test_infinite_floats_are_rejected(key):
+    # each passed its bound: an infinite trace_step never ended the Hopf
+    # trace, newton_tol = inf gave degree 750 for m = 1/2 (closed form 1),
+    # and kink_r2 = inf gave kink scale 0
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        Config(**{key: float("inf")})
+
+
+def test_negative_max_qform_dim_is_rejected():
+    with pytest.raises(ValueError, match="max_qform_dim"):
+        Config(max_qform_dim=-3)
+

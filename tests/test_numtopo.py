@@ -1119,11 +1119,10 @@ class TestSelfIntersection:
         # seed count would leave nothing to trace
         seeds = numtopo._double_point_seeds
 
-        def junk_first(family, config):
-            x = numtopo._kink_disk_grid(family.params,
-                                        config.double_seed_rings)[:700]
+        def junk_first(pts, img, config):
+            x = pts[:700]
             return np.concatenate([np.hstack([x, x]),
-                                   seeds(family, config)])
+                                   seeds(pts, img, config)])
 
         monkeypatch.setattr(numtopo, "_double_point_seeds", junk_first)
         curves = solve_self_intersection(FamilyMap("1/2", config=CFG), CFG)
@@ -1134,7 +1133,9 @@ class TestSelfIntersection:
         # grid points of some traced pair have images 0.017 apart
         cfg = CFG.replace(pair_seed_radius=0.01)
         fam = FamilyMap("1/2", config=cfg)
-        assert len(numtopo._double_point_seeds(fam, cfg)) > 0
+        grid = numtopo._kink_disk_grid(fam.params, cfg.double_seed_rings)
+        grid_img = fam.ambient_eval(grid)
+        assert len(numtopo._double_point_seeds(grid, grid_img, cfg)) > 0
         with pytest.raises(ArithmeticError, match="double-curve seed grid"):
             solve_self_intersection(fam, cfg)
 
@@ -1154,9 +1155,29 @@ class TestSelfIntersection:
                  / (2 * np.pi) - 0.5 * (k % 2))
         assert np.allclose(steps, np.round(steps))
 
+    def test_one_grid_seeds_and_checks_the_solve(self, monkeypatch):
+        # the resolution check reads the grid images the seed stage made
+        grids, evaluated = [], []
+        grid_fn, eval_fn = numtopo._kink_disk_grid, FamilyMap.ambient_eval
+
+        def counted_grid(params, n):
+            grids.append(grid_fn(params, n))
+            return grids[-1]
+
+        def counted_eval(self, x):
+            evaluated.append(len(x))
+            return eval_fn(self, x)
+
+        monkeypatch.setattr(numtopo, "_kink_disk_grid", counted_grid)
+        monkeypatch.setattr(FamilyMap, "ambient_eval", counted_eval)
+        fam = FamilyMap("1/2", config=CFG)
+        curves = solve_self_intersection(fam, CFG)
+        assert len(curves) == 1 and len(grids) == 1
+        assert evaluated.count(len(grids[0])) == 1
+
     def test_no_seeds_gives_no_curves(self, monkeypatch):
         monkeypatch.setattr(numtopo, "_double_point_seeds",
-                            lambda family, config: np.empty((0, 8)))
+                            lambda pts, img, config: np.empty((0, 8)))
         assert solve_self_intersection(FamilyMap(HalfInteger(1)), CFG) == []
 
 

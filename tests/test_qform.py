@@ -98,8 +98,8 @@ def test_q_table_matches_extend_q():
 
 
 def test_q_table_honours_the_config_cap():
-    # the cap binds the enumeration only; brown and is_split never enumerate
-    # beyond their certificate, which the cap switches off
+    # the cap binds the enumeration only; brown and is_split enumerate
+    # nothing beyond their dim-6 certificate, which ignores the cap
     s = direct_sum_many([p_plus()] * 4)
     with pytest.raises(qform.DimensionCapError, match="cap 3"):
         q_table(s, Config(max_qform_dim=3))
@@ -193,6 +193,17 @@ def test_brown_certificate_disagreement_raises(monkeypatch):
     # beyond the certified dims nothing is enumerated to disagree with
     big = direct_sum_many([p_plus()] * 7)
     assert brown(big) == 1
+
+
+@pytest.mark.parametrize("cap", [0, 2, 4])
+def test_brown_certifies_small_spaces_whatever_the_cap(monkeypatch, cap):
+    # max_qform_dim caps q_table only; a low cap must not switch off the
+    # Gauss-sum certificate of a dim-5 space
+    s = direct_sum_many([t_four(), t_zero(), p_plus()])
+    assert brown(s, Config(max_qform_dim=cap)) == 5
+    monkeypatch.setattr(qform, "_brown_by_splitting", lambda space: 1)
+    with pytest.raises(ValueError, match="dim-5 space"):
+        brown(s, Config(max_qform_dim=cap))
 
 
 def test_brown_additive_under_direct_sum():

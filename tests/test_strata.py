@@ -1,9 +1,14 @@
 """The wall-crossing event calculus and its first-order verification."""
 
+import collections
 import dataclasses
 import json
+import math
+import os
+import random
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
 from genimm import strata, surfaces
@@ -197,67 +202,77 @@ def test_random_paths_are_deterministic_and_applicable():
 
 
 def eager_random_paths(initial, events_per_path, n_paths, seed=0):
-    """Reference draw: every candidate built as a validated event, and each
-    path checked by the public constructor.  random_paths must reproduce
-    its random stream draw for draw."""
-    rng = np.random.default_rng(seed)
+    """Reference draw: one wall uniform over the walls available at the
+    state, then that wall's fields, every wall built as a validated event
+    and each path checked by the public constructor.  random_paths, which
+    shares records and applies each pair once, must reproduce it draw for
+    draw."""
+    rng = random.Random(seed)
 
-    def candidates5(state):
+    def pick(seq):
+        return seq[rng.randrange(len(seq))]
+
+    def tangency5(sign, detail, operand):
+        def build():
+            kind = pick((ELLIPTIC_TANGENCY, HYPERBOLIC_TANGENCY))
+            return StratumEvent(kind, sign, operand(), detail)
+        return build
+
+    def merge_pair(n):
+        i = rng.randrange(n)
+        return i, pick([k for k in range(n) if k != i])
+
+    def split_fields(n):
+        i, handed = rng.randrange(n), rng.randrange(4)
+        return i, rng.randrange(n + 1), handed
+
+    def wall5(state):
         comps = state.components
-        kind = (ELLIPTIC_TANGENCY, HYPERBOLIC_TANGENCY)[rng.integers(0, 2)]
-        out = [StratumEvent(kind, 1,
-                            (int(rng.integers(0, len(comps) + 1)),), "birth")]
+        n = len(comps)
         trivial = [i for i, c in enumerate(comps)
                    if c == Component5(False, SPIN_TRIVIAL)]
+        walls = [tangency5(1, "birth", lambda: (rng.randrange(n + 1),))]
         if trivial:
-            out.append(StratumEvent(
-                kind, -1, (trivial[rng.integers(0, len(trivial))],), "death"))
-        if len(comps) >= 2:
-            i, j = rng.choice(len(comps), size=2, replace=False)
-            out.append(StratumEvent(kind, -1, (int(i), int(j)), "merge"))
-        if comps:
-            i = int(rng.integers(0, len(comps)))
-            handed = int(rng.integers(0, 4))
-            at = int(rng.integers(0, len(comps) + 1))
-            out.append(StratumEvent(kind, 1, (i, at, handed), "split"))
-            out.append(StratumEvent(TRIPLE5, int(rng.choice((1, -1))), ()))
-        return out
+            walls.append(tangency5(-1, "death", lambda: (pick(trivial),)))
+        if n >= 2:
+            walls.append(tangency5(-1, "merge", lambda: merge_pair(n)))
+        if n:
+            walls.append(tangency5(1, "split", lambda: split_fields(n)))
+            walls.append(lambda: StratumEvent(TRIPLE5, pick((1, -1))))
+        return pick(walls)()
 
-    def candidates4(state):
+    def wall4(state):
         comps = state.surface.components
-        out = [StratumEvent(TANGENCY4, 1,
-                            (int(rng.integers(0, len(comps) + 1)),),
-                            "sphere-birth"),
-               StratumEvent(TRIPLE4, 1, ()),
-               StratumEvent(QUADRUPLE4, 1, ()),
-               StratumEvent(QUINTUPLE4, int(rng.choice((1, -1))), ())]
         spheres = [i for i, c in enumerate(comps) if c == surfaces.SPHERE]
-        if spheres:
-            out.append(StratumEvent(
-                TANGENCY4, -1, (spheres[rng.integers(0, len(spheres))],),
-                "sphere-death"))
-        if comps:
-            i = int(rng.integers(0, len(comps)))
-            out.append(StratumEvent(TANGENCY4, -1, (i,), "handle-attach"))
         handled = [i for i, c in enumerate(comps)
                    if c.genus_or_crosscaps >= (1 if c.orientable else 3)]
+        walls = [lambda: StratumEvent(TANGENCY4, 1,
+                                      (rng.randrange(len(comps) + 1),),
+                                      "sphere-birth"),
+                 lambda: StratumEvent(TRIPLE4, 1),
+                 lambda: StratumEvent(QUADRUPLE4, 1),
+                 lambda: StratumEvent(QUINTUPLE4, pick((1, -1)))]
+        if spheres:
+            walls.append(lambda: StratumEvent(
+                TANGENCY4, -1, (pick(spheres),), "sphere-death"))
+        if comps:
+            walls.append(lambda: StratumEvent(
+                TANGENCY4, -1, (rng.randrange(len(comps)),),
+                "handle-attach"))
         if handled:
-            out.append(StratumEvent(
-                TANGENCY4, 1, (handled[rng.integers(0, len(handled))],),
-                "handle-remove"))
+            walls.append(lambda: StratumEvent(
+                TANGENCY4, 1, (pick(handled),), "handle-remove"))
         if state.T >= 1:
-            out.append(StratumEvent(TRIPLE4, -1, ()))
+            walls.append(lambda: StratumEvent(TRIPLE4, -1))
         if state.Q >= 2:
-            out.append(StratumEvent(QUADRUPLE4, -1, ()))
-        return out
+            walls.append(lambda: StratumEvent(QUADRUPLE4, -1))
+        return pick(walls)()
 
-    candidates = (candidates5 if isinstance(initial, ImmersionState5)
-                  else candidates4)
+    wall = wall5 if isinstance(initial, ImmersionState5) else wall4
     for _ in range(n_paths):
         state, events = initial, []
         while len(events) < events_per_path:
-            cands = candidates(state)
-            event = cands[rng.integers(0, len(cands))]
+            event = wall(state)
             try:
                 state = apply(state, event)
             except InapplicableEventError:
@@ -284,50 +299,93 @@ def test_random_paths_keep_the_eager_random_stream(length, start):
         assert got == want, f"seed {seed}"
 
 
-def test_integer_draws_reproduce_rng_choice():
-    # random_paths draws bounded integers only; a numpy whose choice
-    # consumes the stream differently fails here first
-    for n in range(2, 17):
-        for seed in range(100):
-            ref, got = np.random.default_rng(seed), strata._Draws(seed)
-            want = tuple(int(v) for v in ref.choice(n, size=2,
-                                                    replace=False))
-            assert strata._distinct_pair(got, n) == want, (n, seed)
-            assert strata._random_sign(got) == int(ref.choice((1, -1)))
-            # both streams stand at the same 32-bit half afterwards
-            assert got.below((1 << 32) - 1) == ref.integers(0, (1 << 32) - 1)
+def every_wall(state):
+    """Every wall at the state, named, with the set of all the
+    (kind, sign, operand, detail) fields it can be drawn with."""
+    tangencies = (ELLIPTIC_TANGENCY, HYPERBOLIC_TANGENCY)
+    if isinstance(state, ImmersionState5):
+        comps = state.components
+        n = len(comps)
+        walls = {
+            "birth": {(k, 1, (at,), "birth")
+                      for k in tangencies for at in range(n + 1)},
+            "death": {(k, -1, (i,), "death")
+                      for k in tangencies for i in range(n)
+                      if comps[i] == Component5(False, SPIN_TRIVIAL)},
+            "merge": {(k, -1, (i, j), "merge") for k in tangencies
+                      for i in range(n) for j in range(n) if i != j},
+            "split": {(k, 1, (i, at, h), "split") for k in tangencies
+                      for i in range(n) for at in range(n + 1)
+                      for h in range(4)},
+            "triple": {(TRIPLE5, s, (), None)
+                       for s in (1, -1) if n},
+        }
+    else:
+        comps = state.surface.components
+        n = len(comps)
+        walls = {
+            "sphere-birth": {(TANGENCY4, 1, (at,), "sphere-birth")
+                             for at in range(n + 1)},
+            "triple+": {(TRIPLE4, 1, (), None)},
+            "quadruple+": {(QUADRUPLE4, 1, (), None)},
+            "quintuple": {(QUINTUPLE4, s, (), None) for s in (1, -1)},
+            "sphere-death": {(TANGENCY4, -1, (i,), "sphere-death")
+                             for i in range(n) if comps[i] == surfaces.SPHERE},
+            "handle-attach": {(TANGENCY4, -1, (i,), "handle-attach")
+                              for i in range(n)},
+            "handle-remove": {(TANGENCY4, 1, (i,), "handle-remove")
+                              for i in range(n)
+                              if comps[i].genus_or_crosscaps
+                              >= (1 if comps[i].orientable else 3)},
+            "triple-": {(TRIPLE4, -1, (), None)} if state.T >= 1 else set(),
+            "quadruple-": ({(QUADRUPLE4, -1, (), None)} if state.Q >= 2
+                           else set()),
+        }
+    return {name: fields for name, fields in walls.items() if fields}
 
 
-# one-value ranges, which draw nothing; small ranges; and ranges near
-# 3 * 2**30, where a quarter of the halves are redrawn
-DRAW_BOUNDS = (1, 2, 3, 4, 7, 13, 1, 1, 1000, 3 << 30, (3 << 30) + 1,
-               (1 << 31) + 1, (1 << 32) - 1)
+@pytest.mark.parametrize("initial,k", [(RICH5, 5), (BASE5, 3),
+                                       (rp3_fixture(), 7)],
+                         ids=["RICH5", "BASE5", "rp3"])
+def test_each_wall_is_drawn_uniformly_then_its_fields(initial, k):
+    walls = every_wall(initial)
+    assert len(walls) == k
+    draw = (strata._draw_wall_5 if isinstance(initial, ImmersionState5)
+            else strata._draw_wall_4)
+    rng, n = random.Random(1), 40_000
+    fields = collections.Counter(draw(initial, rng) for _ in range(n))
+    assert set(fields) == set().union(*walls.values())
+
+    def within_binomial_bound(count, trials, p):
+        # five standard deviations: a fair draw misses by more with
+        # probability below 6e-7 per comparison
+        return abs(count - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
+
+    for name, wall in walls.items():
+        drawn = sum(fields[f] for f in wall)
+        assert within_binomial_bound(drawn, n, 1 / k), name
+        for f in wall:
+            assert within_binomial_bound(fields[f], drawn, 1 / len(wall)), f
 
 
-def test_draws_reproduce_rng_integers():
-    for seed in range(100):
-        pick = np.random.default_rng(1000 + seed)
-        bounds = [DRAW_BOUNDS[k] for k in pick.integers(0, len(DRAW_BOUNDS),
-                                                        size=200)]
-        ref, got = np.random.default_rng(seed), strata._Draws(seed)
-        assert [got.below(n) for n in bounds] == \
-            [int(ref.integers(0, n)) for n in bounds], seed
-
-
-def test_draws_cross_a_block_boundary():
-    # a block of 4,096 words gives 8,192 halves; 5,000 draws below
-    # 3 * 2**30 (a quarter of their halves redrawn) and 5,000 below 6 read
-    # about 11,700 halves
-    ref, got = np.random.default_rng(5), strata._Draws(5)
-    bounds = [3 << 30, 6, 1] * 5000
-    assert [got.below(n) for n in bounds] == \
-        [int(ref.integers(0, n)) for n in bounds]
-
-
-@pytest.mark.parametrize("n", [0, -1, 1 << 32, 1 << 40])
-def test_draws_outside_the_32_bit_range_raise(n):
-    with pytest.raises(ValueError):
-        strata._Draws(0).below(n)
+def test_path_bytes_do_not_depend_on_the_hash_seed():
+    code = ("from genimm.strata import random_paths\n"
+            "from genimm.invariants import family_state\n"
+            "from genimm.surfaces import rp3_fixture\n"
+            "for start in (family_state('1/2'), rp3_fixture()):\n"
+            "    for p in random_paths(start, 6, 50, seed=3):\n"
+            "        print(p.to_json())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(strata.__file__)))
+    out = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        out.append(done.stdout)
+    assert out[0] == out[1] and out[0].count(b"\n") == 100
 
 
 def test_random_paths_reject_negative_counts():
@@ -336,6 +394,9 @@ def test_random_paths_reject_negative_counts():
     with pytest.raises(ValueError):
         list(random_paths(RICH5, 2, -1))
     assert list(random_paths(RICH5, 2, 0)) == []
+    # random.Random(-s) is random.Random(s); numpy took no negative seed
+    with pytest.raises(ValueError):
+        list(random_paths(RICH5, 2, 3, seed=-1))
 
 
 @pytest.mark.parametrize("initial", [RICH5, rp3_fixture()],
