@@ -2,7 +2,8 @@
 
 Every field here is read by some engine, and a config file naming a key
 that is not a field is rejected.  Some engines still hard-code
-constants: the 0.35/0.2 grid thresholds of ``numtopo._box_preimages``,
+constants: the 0.35/0.2 grid thresholds of the box finder
+(``numtopo._box_seeds``, ``numtopo.degree_S3``),
 the 1e-6 dedupe radius of converged solutions, the 60 bisection steps
 of ``geometry.radial_point`` in the blend annulus, the 13-neighbour
 query of the double-curve seed grid, the 0.08 projected distance within
@@ -41,7 +42,8 @@ class Config:
     newton_tol: float = 1e-10        # residual target for Newton/Gauss-Newton
     newton_max_iter: int = 60
     jacobian_min_det: float = 1e-6   # regular-value check threshold
-    fd_step: float = 1e-6            # finite-difference step for Jacobians
+    fd_step: float = 1e-6            # central-difference step for a
+                                     # box map given without its Jacobian
 
     # curve tracing: a coarse walk, then chords bisected down to the step
     # (trace_step for Hopf fibers, double_trace_step for double curves)

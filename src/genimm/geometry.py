@@ -10,10 +10,11 @@ diffeomorphic to the round sphere.  The family member f_m restricts to
 B(theta) as L_{m theta} o K o R_{-m theta}: a planar double-point kink K is
 planted in the flat polar cap and spun m times while the cap sweeps once
 around.  Everything needed downstream is available in closed form: the
-kink, its differential, the self-intersection circle and its preimages, the
-first column of the associated frame maps into S^3 and S^2, and the printed
-frame of the swept standard embedding (whose third column fails
-orthonormality; the defect is reported, not repaired).
+kink, the differentials of the family member and of the domain's defining
+function, the self-intersection circle and its preimages, the first column
+of the associated frame maps into S^3 and S^2, and the printed frame of the
+swept standard embedding (whose third column fails orthonormality; the
+defect is reported, not repaired).
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ def fd_jacobian(fn, x, step):
     Column j is (fn(x + h e_j) - fn(x - h e_j)) / 2h with h = step; all 2n
     shifted copies of x go through fn in one batched call.  Returns shape
     (..., k, n) when fn maps (..., n) to (..., k), and (..., n) when fn is
-    scalar valued, mapping (..., n) to (...).
+    scalar valued, mapping (..., n) to (...).  The engines use it only for a
+    map given without its Jacobian; the family and its domain have closed
+    forms, which the tests check against it.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -107,29 +110,54 @@ def whitney_kink_jacobian(x, y):
     """Exact differential, shape (..., 4, 2)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    return np.moveaxis(_kink_differential(x, y), (0, 1), (-2, -1))
+
+
+def _kink_differential(x, y):
+    """The differential of whitney_kink with its two indices first, shape
+    (4, 2, ...), so that every product runs over the points."""
     u = (1 + x**2) * (1 + y**2)
     dx = (1 + x**2) * u
     dy = (1 + y**2) * u
-    rows = [
-        [1 - 2 * (1 - x**2) / dx, 4 * x * y / dy],
-        [np.zeros_like(u), np.ones_like(u)],
-        [-2 * x / dx, -2 * y / dy],
-        [y * (1 - x**2) / dx, x * (1 - y**2) / dy],
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    J = np.zeros((4, 2) + u.shape)
+    J[0, 0] = 1 - 2 * (1 - x**2) / dx
+    J[0, 1] = 4 * x * y / dy
+    J[1, 1] = 1.0
+    J[2, 0] = -2 * x / dx
+    J[2, 1] = -2 * y / dy
+    J[3, 0] = y * (1 - x**2) / dx
+    J[3, 1] = x * (1 - y**2) / dy
+    return J
+
+
+def _bump(s):
+    """exp(-1/s) for s > 0, and 0 elsewhere."""
+    out = np.zeros_like(s)
+    pos = s > 0
+    out[pos] = np.exp(-1.0 / s[pos])
+    return out
 
 
 def smooth_step(t):
     """C-infinity step: identically 0 for t <= 0, identically 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
-    def bump(s):
-        out = np.zeros_like(s)
-        pos = s > 0
-        out[pos] = np.exp(-1.0 / s[pos])
-        return out
-    a = bump(t)
-    b = bump(1.0 - t)
+    a = _bump(t)
+    b = _bump(1.0 - t)
     return a / (a + b)
+
+
+def _step_with_slope(t):
+    """smooth_step at t and its derivative: with a = exp(-1/t) and
+    b = exp(-1/(1-t)) the slope is a b (1/t^2 + 1/(1-t)^2) / (a + b)^2
+    where both are positive, and 0 elsewhere."""
+    t = np.asarray(t, dtype=float)
+    a = _bump(t)
+    b = _bump(1.0 - t)
+    slope = np.zeros_like(t)
+    both = (a > 0) & (b > 0)
+    ab, tb, sb = a[both] * b[both], t[both], a[both] + b[both]
+    slope[both] = ab * (1 / tb**2 + 1 / (1 - tb)**2) / sb**2
+    return a / (a + b), slope
 
 
 def blended_kink(x, y, config: Config = DEFAULT):
@@ -151,6 +179,28 @@ def blended_kink(x, y, config: Config = DEFAULT):
     g = whitney_kink(x, y)
     flat = np.stack([x, y, np.zeros_like(x), np.zeros_like(x)], axis=-1)
     return (1 - s)[..., None] * g + s[..., None] * flat
+
+
+def _blended_kink_with_differential(x, y, config: Config):
+    """blended_kink and its exact differential with the indices first,
+    shapes (4, ...) and (4, 2, ...).
+
+    With blend weight s(rho) and flat the inclusion, the product rule gives
+    (1 - s) dg + s dflat + (flat - g) ds, ds = s'(rho) (x, y) / rho; s' is
+    0 up to radius r1, so rho never divides at 0.
+    """
+    g = np.moveaxis(whitney_kink(x, y), -1, 0)
+    dg = _kink_differential(x, y)
+    rho = np.hypot(x, y)
+    if not (rho > config.kink_r1).any():
+        return g, dg
+    width = config.kink_r2 - config.kink_r1
+    s, slope = _step_with_slope((rho - config.kink_r1) / width)
+    ds = slope / (width * np.maximum(rho, config.kink_r1)) * np.stack([x, y])
+    gap = np.stack([x, y, np.zeros_like(x), np.zeros_like(x)]) - g
+    eye = np.eye(4, 2).reshape((4, 2) + (1,) * rho.ndim)
+    return (g + s * gap,
+            (1 - s) * dg + s * eye + gap[:, None] * ds[None])
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +341,39 @@ def domain_constraint(x, params: KinkParams):
     return (x**2).sum(axis=-1) - (s**2 + zeta**2)
 
 
+def domain_constraint_grad(x, params: KinkParams):
+    """Gradient of domain_constraint, shape (..., 4), in closed form.
+
+    With s = |(x1, x2)| it is -2 zeta zeta'(s) x_i / s on the disk
+    coordinates x1, x2 and 2 x_i on the others.  zeta' = 0 on the flat cap
+    s <= 2a, s = 0 included; zeta zeta' = -s on the round part 4a <= s < 1
+    and 0 past s = 1, where the clipped round height is 0; in the blend
+    annulus zeta' = sigma' (round - h) + sigma round', sigma the blend
+    weight and round' = -s / round.
+    """
+    x = np.asarray(x, dtype=float)
+    grad = 2 * x
+    s = np.hypot(x[..., 0], x[..., 1])
+    a, h = params.a, params.cap_height
+    off_cap = s > 2 * a
+    if not off_cap.any():
+        grad[..., :2] = 0.0
+        return grad
+    zz = np.where(s < 1, -s, 0.0)   # zeta zeta'
+    blend = off_cap & (s < 4 * a)
+    if blend.any():
+        sb = s[blend]
+        sigma, slope = _step_with_slope((sb - 2 * a) / (2 * a))
+        round_part = np.sqrt(1 - sb**2)
+        zeta = (1 - sigma) * h + sigma * round_part
+        zz[blend] = zeta * (slope / (2 * a) * (round_part - h)
+                            - sigma * sb / round_part)
+    coef = np.zeros_like(s)
+    coef[off_cap] = -2 * zz[off_cap] / s[off_cap]
+    grad[..., :2] = coef[..., None] * x[..., :2]
+    return grad
+
+
 # ---------------------------------------------------------------------------
 # the family
 
@@ -320,13 +403,19 @@ class FamilyMap:
         and get the same values.
         """
         x = np.asarray(x, dtype=float)
+        return self._on_kink_disks(
+            x, self._spun_kink,
+            lambda: np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], -1))
+
+    def _on_kink_disks(self, x, kink, outside):
+        """kink(x) at the points x with |(x1, x2)| < a, and outside()
+        elsewhere; a batch wholly on one side gets no gather or scatter."""
         inside = np.hypot(x[..., 0], x[..., 1]) < self.params.a
         if inside.all():
-            return self._spun_kink(x)
-        out = np.zeros(x.shape[:-1] + (5,))
-        out[..., :4] = x
+            return kink(x)
+        out = outside()
         if inside.any():
-            out[inside] = self._spun_kink(x[inside])
+            out[inside] = kink(x[inside])
         return out
 
     def _spun_kink(self, x) -> np.ndarray:
@@ -367,8 +456,57 @@ class FamilyMap:
         return self.ambient_eval(x)
 
     def ambient_jacobian(self, x) -> np.ndarray:
-        """df in ambient coordinates, shape (..., 5, 4), central differences."""
-        return fd_jacobian(self.ambient_eval, x, self.config.fd_step)
+        """df in ambient coordinates, shape (..., 5, 4), in closed form.
+
+        Off the kink disks df is the inclusion; on them, _spun_kink_jacobian.
+        """
+        x = np.asarray(x, dtype=float)
+        return self._on_kink_disks(
+            x, self._spun_kink_jacobian,
+            lambda: np.broadcast_to(np.eye(5, 4), x.shape[:-1] + (5, 4)).copy())
+
+    def _spun_kink_jacobian(self, x) -> np.ndarray:
+        """The chain rule through _spun_kink at the points x, shape (..., 5, 4).
+
+        With theta = arg(x3, x4), rho = |(x3, x4)|, (xi, eta) =
+        R_{-m theta}(x1, x2) and g the blended kink at (xi, eta) / c, the
+        differential K of c g in (x1, x2, theta) is dg [R_{-m theta} |
+        m (eta, -xi)].  f is L_{m theta} on (c g1, c g2), z3 (cos, sin) theta
+        with z3 = rho - c g3, and c g4; so its theta column also gains
+        m (-f2, f1) and z3 (-sin, cos) theta, and its rho column is
+        (cos, sin) theta.  On (x3, x4), dtheta = (-sin, cos) / rho and
+        drho = (cos, sin).  Every array holds its indices first and the
+        points last, so each product runs over the points.
+        """
+        c = self.params.kink_scale
+        mval = self.m.value
+        x1, x2, x3, x4 = x.T
+        rho = np.hypot(x3, x4)
+        cos_t, sin_t = x3 / rho, x4 / rho
+        theta = np.arctan2(x4, x3)
+        cm, sm = np.cos(mval * theta), np.sin(mval * theta)
+        xi, eta = _rot2(cm, -sm, x1, x2)
+        g, dg = _blended_kink_with_differential(xi / c, eta / c, self.config)
+        K = (dg[:, 0, None] * np.array([cm, sm, mval * eta])
+             + dg[:, 1, None] * np.array([-sm, cm, -mval * xi]))
+        # L turns m (-c g2, c g1) into m (-f2, f1)
+        K[0, 2] -= mval * c * g[1]
+        K[1, 2] += mval * c * g[0]
+        N = np.empty((5, 3) + rho.shape)    # df in (x1, x2, theta)
+        N[0], N[1] = _rot2(cm, sm, K[0], K[1])
+        N[2], N[3], N[4] = -cos_t * K[2], -sin_t * K[2], K[3]
+        z3 = rho - c * g[2]
+        N[2, 2] -= z3 * sin_t
+        N[3, 2] += z3 * cos_t
+        J = np.empty((5, 4) + rho.shape)
+        J[:, :2] = N[:, :2]
+        J[:, 2], J[:, 3] = N[:, 2] * (-sin_t / rho), N[:, 2] * (cos_t / rho)
+        J[2, 2] += cos_t * cos_t
+        J[2, 3] += cos_t * sin_t
+        J[3, 2] += sin_t * cos_t
+        J[3, 3] += sin_t * sin_t
+        # x.T put the points' axes last in reverse order; J.T restores them
+        return J.T.swapaxes(-1, -2)
 
     # -- the self-intersection in closed form -------------------------------
 

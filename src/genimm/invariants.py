@@ -29,8 +29,7 @@ import numpy as np
 from . import numtopo, qform, surfaces
 from .config import Config, DEFAULT
 from .geometry import (FamilyMap, HalfInteger, KinkParams, column_m1,
-                       column_m1_jacobian, column_n1, column_n1_jacobian,
-                       domain_constraint)
+                       column_m1_jacobian, column_n1, column_n1_jacobian)
 
 RIGHT_TWIST = 1
 LEFT_TWIST = 3
@@ -412,9 +411,6 @@ def _induced_circle_sign(fam: FamilyMap, sheet_points, circle,
     Returns +1 when that orientation is the increasing-theta direction of
     the circle in the x3 x4 plane, -1 otherwise.
     """
-    def constraint(x):
-        return domain_constraint(x, fam.params)
-
     probes = range(0, len(circle), max(1, len(circle) // 7))
     signs = set()
     for i in probes:
@@ -423,7 +419,7 @@ def _induced_circle_sign(fam: FamilyMap, sheet_points, circle,
         for pts in sheet_points:
             x = pts[i]
             frame = fam.ambient_jacobian(x) @ numtopo.positive_tangent_basis(
-                constraint, x, config)
+                x, fam.params)
             kappa, residual, *_ = np.linalg.lstsq(frame, qdot, rcond=None)
             if np.linalg.norm(frame @ kappa - qdot) > 1e-5:
                 raise ArithmeticError("double-circle tangent is not tangent "

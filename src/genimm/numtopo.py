@@ -26,12 +26,17 @@ image: one per vertex where the vertex's curtain line meets the flat
 part R^4 x {0}, and the kink-disk grid on the spun kink.  One kink-disk
 grid, _kink_disk_grid, seeds both 5-space solvers: the double-curve
 pairs and the curtain crossings.  One
-box finder, _box_preimages, seeds both box solvers from the
-config.degree_grid grid: the preimages that degree_S3 counts and the
-fibers that hopf_invariant traces.
+box finder serves both box solvers, the preimages that degree_S3 counts
+and the fibers that hopf_invariant traces: _box_seeds sweeps the
+config.degree_grid grid once, one theta slice at a time, for every value
+the solver needs, and _box_preimages solves from those seeds.
 
-Derivatives without a closed form come from the one central-difference
-helper, geometry.fd_jacobian.  Every equation, square or wide, is solved by
+The family and its domain have closed-form differentials,
+geometry.FamilyMap.ambient_jacobian and geometry.domain_constraint_grad;
+both 5-space systems and the positive tangent basis of the domain use
+them.  Only a box map given without its Jacobian is differentiated by the
+one central-difference helper, geometry.fd_jacobian, with
+config.fd_step.  Every equation, square or wide, is solved by
 the one batched damped Gauss-Newton, _newton: degree preimages, curtain
 crossings, fiber and double-curve seeds, and both stages of the one
 tracer, _trace_closed_curve, which follows closed level curves (Hopf
@@ -61,7 +66,8 @@ import itertools
 import numpy as np
 
 from .config import Config, DEFAULT
-from .geometry import domain_constraint, fd_jacobian, radial_point
+from .geometry import (domain_constraint, domain_constraint_grad,
+                       fd_jacobian, radial_point)
 
 
 class NonRegularValueError(RuntimeError):
@@ -150,8 +156,9 @@ def gauss_link_raw(curve_a, curve_b, config: Config = DEFAULT) -> float:
     come from X = va x vc: det(va, vd, vc) = -vd . X and
     det(va, vc, vb) = vb . X.  The rows of a are taken in blocks of
     _GAUSS_PAIR_BUDGET segment pairs; each block builds the grid
-    U[i, j] = g(a_i, b_j) once, with one wrap row and one wrap column, and
-    reads every corner from it.  With this Gauss map
+    U[i, j] = g(a_i, b_j) once, with one wrap row and one wrap column, as
+    its three component arrays, and reads every corner from them, so each
+    product and sum runs over whole arrays of segment pairs.  With this Gauss map
     det(g, dg/ds, dg/dt) = -det(da/ds, db/dt, a - b)/|a-b|^3, so the right
     handed crossing convention is minus the accumulated angle over 4 pi.
     """
@@ -161,19 +168,26 @@ def gauss_link_raw(curve_a, curve_b, config: Config = DEFAULT) -> float:
         raise ValueError("curves must lie in R^3")
     if _kdtree(b).query(a)[0].min() < config.min_image_separation:
         raise ValueError("curves are too close to link reliably")
-    a_wrap = np.concatenate([a, a[:1]])
-    b_wrap = np.concatenate([b, b[:1]])
+    a_wrap = np.concatenate([a, a[:1]]).T
+    b_wrap = np.concatenate([b, b[:1]]).T
     rows = max(1, _GAUSS_PAIR_BUDGET // len(b))
 
     def dot(u, v):
-        return np.einsum("ijk,ijk->ij", u, v)
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
     total = 0.0
     for lo in range(0, len(a), rows):
-        grid = _unit(a_wrap[lo:lo + rows + 1, None, :] - b_wrap[None, :, :])
-        va, vb = grid[:-1, :-1], grid[:-1, 1:]
-        vc, vd = grid[1:, 1:], grid[1:, :-1]
-        x = np.cross(va, vc)
+        # the grid as its three component arrays gx, gy, gz
+        grid = [ak[lo:lo + rows + 1, None] - bk[None, :]
+                for ak, bk in zip(a_wrap, b_wrap)]
+        norm = np.sqrt(dot(grid, grid))
+        grid = [g / norm for g in grid]
+        va = [g[:-1, :-1] for g in grid]
+        vb = [g[:-1, 1:] for g in grid]
+        vc = [g[1:, 1:] for g in grid]
+        vd = [g[1:, :-1] for g in grid]
+        x = [va[1] * vc[2] - va[2] * vc[1], va[2] * vc[0] - va[0] * vc[2],
+             va[0] * vc[1] - va[1] * vc[0]]
         ac = dot(va, vc)
         total += np.arctan2(-dot(vd, x),
                             1.0 + ac + dot(va, vd) + dot(vd, vc)).sum()
@@ -323,8 +337,9 @@ def choose_pole(curves, config: Config = DEFAULT):
     rng = np.random.default_rng(config.seed)
     cands = np.concatenate([np.eye(4), -np.eye(4),
                             _unit(rng.normal(size=(60, 4)))])
-    dist = np.linalg.norm(pts[None, :, :] - cands[:, None, :], axis=-1)
-    return cands[dist.min(axis=1).argmax()]
+    # for unit vectors |p - c|^2 = 2 - 2 p . c: the candidate whose nearest
+    # point is farthest is the one whose largest dot product is least
+    return cands[(pts @ cands.T).max(axis=0).argmin()]
 
 
 def projected_link(curve_a, curve_b, config: Config = DEFAULT, pole=None) -> int:
@@ -541,16 +556,35 @@ def _newton(x, residual, jacobian, tol, config: Config):
     return x, best < tol
 
 
-def _box_preimages(map_fn, v, config: Config, jac_fn, tol):
+def _box_seeds(map_fn, values, config: Config):
+    """Seeds of _box_preimages for each unit value, in one sweep of the
+    config.degree_grid box grid, one theta slice at a time: the grid points
+    whose images lie within 0.35 of the value, and the least distance from
+    the value of the grid's images."""
+    theta, r = _box_axes(config.degree_grid)
+    R, P = np.meshgrid(r, theta, indexing="ij")
+    best = np.full(len(values), np.inf)
+    seeds = [[] for _ in values]
+    for th in theta:
+        T = np.full(R.shape, th)
+        img = map_fn(T, R, P)
+        for k, v in enumerate(values):
+            dist = np.linalg.norm(img - v, axis=-1)
+            best[k] = min(best[k], dist.min())
+            mask = dist < 0.35
+            seeds[k].append(np.stack([T[mask], R[mask], P[mask]], axis=-1))
+    return [np.concatenate(s) for s in seeds], best
+
+
+def _box_preimages(map_fn, v, seeds, config: Config, jac_fn, tol):
     """Preimages of the unit value v under map_fn on the (theta, r, phi) box.
 
-    Every point of the config.degree_grid box grid whose image lies within
-    0.35 of v seeds one _newton batch to tol on fn(x) @ W = 0, with W the
-    oriented_complement of v.  That equation also holds over -v, so only
-    the rows that converge inside the box (_in_box) with fn(x) @ v > 0 are
-    kept.  Without jac_fn the Jacobian is taken by central differences.
-    Returns the kept points, the residual and jacobian given to _newton,
-    and the least distance from v of the grid's images.
+    The seeds, from _box_seeds, go through one _newton batch to tol on
+    fn(x) @ W = 0, with W the oriented_complement of v.  That equation also
+    holds over -v, so only the rows that converge inside the box (_in_box)
+    with fn(x) @ v > 0 are kept.  Without jac_fn the Jacobian is taken by
+    central differences.  Returns the kept points, and the residual and
+    jacobian given to _newton.
     """
     W = oriented_complement(v)
 
@@ -565,18 +599,8 @@ def _box_preimages(map_fn, v, config: Config, jac_fn, tol):
             return W.T @ fd_jacobian(fn, p, config.fd_step)
         return W.T @ jac_fn(p[..., 0], p[..., 1], p[..., 2])
 
-    theta, r = _box_axes(config.degree_grid)
-    R, P = np.meshgrid(r, theta, indexing="ij")
-    best = np.inf
-    seeds = []
-    for th in theta:
-        T = np.full(R.shape, th)
-        dist = np.linalg.norm(map_fn(T, R, P) - v, axis=-1)
-        best = min(best, dist.min())
-        mask = dist < 0.35
-        seeds.append(np.stack([T[mask], R[mask], P[mask]], axis=-1))
-    x, ok = _newton(np.concatenate(seeds), residual, jacobian, tol, config)
-    return x[ok & _in_box(x) & (fn(x) @ v > 0)], residual, jacobian, best
+    x, ok = _newton(seeds, residual, jacobian, tol, config)
+    return x[ok & _in_box(x) & (fn(x) @ v > 0)], residual, jacobian
 
 
 def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCount:
@@ -594,8 +618,9 @@ def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCou
     config.jacobian_min_det.
     """
     v = _unit(np.asarray(value, dtype=float))
-    x, _, jacobian, best = _box_preimages(map_fn, v, config, jac_fn,
-                                          config.newton_tol)
+    (seeds,), (best,) = _box_seeds(map_fn, [v], config)
+    x, _, jacobian = _box_preimages(map_fn, v, seeds, config, jac_fn,
+                                    config.newton_tol)
     if len(x) == 0:
         if best > 0.2:
             return SignedCount(np.empty((0, 3)), np.empty(0, dtype=int))
@@ -613,10 +638,12 @@ def degree_S3(map_fn, value, config: Config = DEFAULT, jac_fn=None) -> SignedCou
 # the corrector, the curve tracer, fiber tracing and the Hopf invariant
 
 
-def positive_tangent_basis(constraint, x, config: Config) -> np.ndarray:
-    """Columns: basis of the tangent space of {constraint = 0} at x that the
-    outward normal, put first, completes to a positive basis of R^4."""
-    return oriented_complement(fd_jacobian(constraint, x, config.fd_step))
+def positive_tangent_basis(x, params) -> np.ndarray:
+    """Columns: basis of the tangent space of the domain
+    {domain_constraint(., params) = 0} at the point x that the outward
+    normal, domain_constraint_grad, put first completes to a positive basis
+    of R^4."""
+    return oriented_complement(domain_constraint_grad(x, params))
 
 
 # The halves of a bent chord of length L are longer than L / 2, by about
@@ -775,10 +802,14 @@ def _trace_all(points, residual, jacobian, tol, step, config: Config, shifts,
     return curves
 
 
-def _fibers_param(map_fn, v, config: Config, jac_fn=None):
-    """All fiber components of map_fn over v in the (theta, r, phi) box."""
-    x, residual, jacobian, _ = _box_preimages(map_fn, v, config, jac_fn,
-                                              config.trace_corrector_tol)
+def _fibers_param(map_fn, v, config: Config, jac_fn=None, seeds=None):
+    """All fiber components of map_fn over v in the (theta, r, phi) box,
+    from the given _box_seeds of v or, without them, from a sweep of v
+    alone."""
+    if seeds is None:
+        (seeds,), _ = _box_seeds(map_fn, [v], config)
+    x, residual, jacobian = _box_preimages(map_fn, v, seeds, config, jac_fn,
+                                           config.trace_corrector_tol)
     # wrap the angles, so the one-period shifts below match every copy
     x[:, ::2] %= 2 * np.pi
     shifts = [np.array([2 * np.pi * i, 0.0, 2 * np.pi * j])
@@ -795,9 +826,9 @@ def hopf_invariant(map_fn, config: Config = DEFAULT, *, to_sphere,
     map_fn(theta, r, phi) maps the box of degree_S3 to the unit 2-sphere,
     with jac_fn its Jacobian (central differences without it), and
     to_sphere carries an (N, 3) polyline of box points to rays in R^4.
-    _box_preimages, the finder of degree_S3, seeds the fibers in the open
-    box, so the edges r = 0 and r = pi must stay clear of the fibers over
-    the values.  Each fiber is traced by _trace_all, oriented so that the
+    The finder of degree_S3 seeds the fibers in the open box, from one
+    _box_seeds sweep for both values, so the edges r = 0 and r = pi must
+    stay clear of the fibers over the values.  Each fiber is traced by _trace_all, oriented so that the
     differential carries a positive complement onto the chosen tangent
     basis at the value, pushed onto the unit 3-sphere, and linked with
     gauss_link and spherical_cone_link; the two must agree.
@@ -812,14 +843,15 @@ def hopf_invariant(map_fn, config: Config = DEFAULT, *, to_sphere,
     if values is None:
         rng = np.random.default_rng(config.seed + 1)
         values = _unit(rng.normal(size=(2, 3)))
-    v1, v2 = (np.asarray(v, dtype=float) for v in values)
+    values = [np.asarray(v, dtype=float) for v in values]
+    seeds, _ = _box_seeds(map_fn, values, config)
 
-    def fibers(v):
-        return [_unit(to_sphere(c))
-                for c in _fibers_param(map_fn, v, config, jac_fn)]
+    def fibers(k):
+        return [_unit(to_sphere(c)) for c in
+                _fibers_param(map_fn, values[k], config, jac_fn, seeds[k])]
 
-    rays1 = fibers(v1)
-    rays2 = fibers(v2) if rays1 else []
+    rays1 = fibers(0)
+    rays2 = fibers(1) if rays1 else []
     if not rays2:
         return 0
 
@@ -842,22 +874,20 @@ def hopf_invariant(map_fn, config: Config = DEFAULT, *, to_sphere,
 # numerical self-intersection of the immersed sphere
 
 
-def _domain_system(manifold, config: Config):
+def _domain_system(manifold):
     """x -> [f(x), G(x)] and x -> [df(x); grad G(x)], shapes (N, 6) and
     (N, 6, 4) at N points of R^4: f and df from manifold.ambient_eval and
     ambient_jacobian, G the domain_constraint of manifold.params with its
-    central-difference gradient.  solve_self_intersection and
-    _curtain_crossings assemble their systems from it."""
-    def constraint(x):
-        return domain_constraint(x, manifold.params)
-
+    closed-form gradient, domain_constraint_grad.  solve_self_intersection
+    and _curtain_crossings assemble their systems from it."""
     def system(x):
-        return np.column_stack([manifold.ambient_eval(x), constraint(x)])
+        return np.column_stack([manifold.ambient_eval(x),
+                                domain_constraint(x, manifold.params)])
 
     def system_jacobian(x):
         return np.concatenate(
             [manifold.ambient_jacobian(x),
-             fd_jacobian(constraint, x, config.fd_step)[:, None]], axis=1)
+             domain_constraint_grad(x, manifold.params)[:, None]], axis=1)
 
     return system, system_jacobian
 
@@ -908,8 +938,10 @@ def _double_point_seeds(pts, img, config: Config):
         img, k=13, distance_upper_bound=config.pair_seed_radius)
     close = dist[:, 1:] < config.pair_seed_radius
     i, j = np.nonzero(close)[0], nbr[:, 1:][close]
-    far = (np.linalg.norm(pts[i] - pts[j], axis=1)
-           > config.min_preimage_separation)
+    # squared distances, one coordinate at a time, so that no (pairs, 4)
+    # gather is built for the many near pairs this drops
+    far = (sum((c[i] - c[j])**2 for c in pts.T)
+           > config.min_preimage_separation**2)
     i, j = np.divmod(np.unique(np.minimum(i, j)[far] * len(pts)
                                + np.maximum(i, j)[far]), len(pts))
     order = np.argsort(np.linalg.norm(img[i] - img[j], axis=1),
@@ -939,7 +971,7 @@ def solve_self_intersection(family, config: Config = DEFAULT):
     this check.  Returns one SelfIntersection per double curve, in trace
     order.
     """
-    system, system_jacobian = _domain_system(family, config)
+    system, system_jacobian = _domain_system(family)
 
     def residual(z, _rows):
         v = system(z.reshape(-1, 4)).reshape(len(z), 2, 6)
@@ -1020,7 +1052,7 @@ def _curtain_crossings(verts, d, seg, manifold, seeds, img,
     edge = 1e-5
     n = len(verts)
     E = np.roll(verts, -1, axis=0) - verts
-    system, system_jacobian = _domain_system(manifold, config)
+    system, system_jacobian = _domain_system(manifold)
 
     def split(u):
         i = np.floor(u)

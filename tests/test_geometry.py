@@ -5,11 +5,13 @@ import pytest
 from scipy.spatial import cKDTree
 
 from genimm.config import Config
+from genimm import geometry
 from genimm.geometry import (FamilyMap, HalfInteger, KinkParams, TorusPoint,
                              blended_kink, classical_hopf, column_m1,
                              column_m1_jacobian, column_n1,
                              column_n1_jacobian, domain_constraint,
-                             fd_jacobian, frame_columns, frame_defect,
+                             domain_constraint_grad, fd_jacobian,
+                             frame_columns, frame_defect,
                              profile_height, quat_mul, quaternion_frame,
                              radial_point, smooth_step, whitney_kink,
                              whitney_kink_jacobian)
@@ -333,6 +335,72 @@ def test_family_jacobian_has_rank_three():
     assert smin.min() > 1e-4
 
 
+def _chart_band(params, lo, hi, shape):
+    """Chart points with planar radius s in [lo, hi), moved off M by about
+    1e-3 along random directions."""
+    s = RNG.uniform(lo, hi, shape)
+    x = params.chart(s, RNG.uniform(0, 2 * np.pi, shape),
+                     RNG.uniform(0, 2 * np.pi, shape))
+    return x + 1e-3 * RNG.normal(size=x.shape)
+
+
+@pytest.mark.parametrize("m", ["1/2", "1", "-3/2", "2"])
+def test_ambient_jacobian_matches_finite_differences(m):
+    # the leading shape (l, n) is the one invariants._pushoff_curve passes
+    fam = FamilyMap(m)
+    p, c = fam.params, fam.params.kink_scale
+    bands = {"kink core": (0, c * p.r1), "blend annulus": (c * p.r1, p.a),
+             "flat cap off the disk": (1.05 * p.a, 2 * p.a),
+             "round part": (4 * p.a, 0.95)}
+    for name, (lo, hi) in bands.items():
+        x = _chart_band(p, lo, hi, (2, 6))
+        J = fam.ambient_jacobian(x)
+        assert J.shape == (2, 6, 5, 4)
+        fd = fd_jacobian(fam.ambient_eval, x, 1e-6)
+        assert np.abs(J - fd).max() < 1e-8, name
+        if lo > p.a:
+            assert np.array_equal(J, np.broadcast_to(np.eye(5, 4), J.shape))
+    x = _chart_band(p, 0, p.a, ())
+    assert fam.ambient_jacobian(x).shape == (5, 4)
+    assert np.array_equal(fam.ambient_jacobian(x),
+                          fam.ambient_jacobian(x[None])[0])
+
+
+def test_domain_constraint_grad_matches_finite_differences():
+    p = KinkParams()
+
+    def fd(x):
+        return fd_jacobian(lambda y: domain_constraint(y, p), x, 1e-6)
+
+    bands = {"flat cap": (0, 2 * p.a), "profile annulus": (2 * p.a, 4 * p.a),
+             "round part": (4 * p.a, 0.95)}
+    for name, (lo, hi) in bands.items():
+        x = _chart_band(p, lo, hi, (3, 5))
+        grad = domain_constraint_grad(x, p)
+        assert grad.shape == (3, 5, 4)
+        assert np.abs(grad - fd(x)).max() < 1e-8, name
+    # on the round part G = |x|^2 - 1 exactly, so its gradient is 2x
+    x = _chart_band(p, 4 * p.a, 0.95, (7,))
+    assert np.array_equal(domain_constraint_grad(x, p), 2 * x)
+    # at s = 0 the disk coordinates drop out, with no division by s, alone
+    # and beside a row in the profile annulus
+    x = np.array([[0.0, 0.0, 0.6, -0.5], [0.5, 0.1, 0.4, 0.7]])
+    grad = domain_constraint_grad(x, p)
+    assert np.array_equal(grad[0], [0.0, 0.0, 1.2, -1.0])
+    assert np.array_equal(domain_constraint_grad(x[0], p), grad[0])
+    assert np.allclose(grad, fd(x), atol=1e-8)
+
+
+def test_step_slope_is_the_derivative_of_the_step():
+    t = np.array([-1.0, 0.0, 1e-3, 0.2, 0.5, 0.9, 0.999, 1.0, 3.0])
+    step, slope = geometry._step_with_slope(t)
+    assert np.array_equal(step, smooth_step(t))
+    h = 1e-7
+    fd = (smooth_step(t + h) - smooth_step(t - h)) / (2 * h)
+    assert np.allclose(slope, fd, atol=1e-6)
+    assert np.array_equal(slope[[0, 1, 7, 8]], np.zeros(4))
+
+
 def test_eval_validates_coordinates():
     fam = FamilyMap("1/2")
     with pytest.raises(ValueError):
@@ -393,7 +461,9 @@ def test_family_rows_are_batch_independent(m):
                _ring(p.a, 2 * p.a, 12, 4),         # flat cap, fixed
                _ring(2 * p.a, 1.0, 12, 4)]         # profile blend and round
     _assert_rows_independent(fam.ambient_eval, classes)
+    _assert_rows_independent(fam.ambient_jacobian, classes)
     _assert_rows_independent(lambda x: domain_constraint(x, p), classes)
+    _assert_rows_independent(lambda x: domain_constraint_grad(x, p), classes)
 
 
 def test_blended_kink_rows_are_batch_independent():

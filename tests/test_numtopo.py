@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from genimm.config import Config
 from genimm.geometry import (FamilyMap, HalfInteger, classical_hopf,
                              column_m1, column_m1_jacobian, column_n1,
-                             column_n1_jacobian, domain_constraint, quat_mul)
+                             column_n1_jacobian, quat_mul)
 from genimm.numtopo import (NonRegularValueError, SignedCount, choose_pole,
                             crossing_link, degree_S3, gauss_link,
                             gauss_link_raw,
@@ -585,6 +585,33 @@ class TestStereographic:
         assert gap > 0.5
 
 
+    def test_choose_pole_equals_the_distance_cube(self, hopf_fibers):
+        # the least largest dot product picks the pole that the largest
+        # least distance picked, on the curves the engines give it
+        def cube_pole(curves, config):
+            pts = _unit(np.concatenate(curves))
+            rng = np.random.default_rng(config.seed)
+            cands = np.concatenate([np.eye(4), -np.eye(4),
+                                    _unit(rng.normal(size=(60, 4)))])
+            dist = np.linalg.norm(pts[None, :, :] - cands[:, None, :],
+                                  axis=-1)
+            return cands[dist.min(axis=1).argmax()]
+
+        a, _, b = hopf_fibers
+        pairs = [[a, b]]
+        for m in ("1/2", "1", "-3/2", "2"):
+            fam = FamilyMap(m, config=CFG)
+            for rot in (-fam.m.twice, fam.m.twice):
+                curves, shifted = invariants._framing_curves(fam, rot, CFG)
+                pairs += [[_unit(sh), _unit(c)]
+                          for sh in shifted for c in curves]
+        for seed in (0, 7, 12):
+            cfg = CFG.replace(seed=seed)
+            for pair in pairs:
+                assert np.array_equal(choose_pole(pair, cfg),
+                                      cube_pole(pair, cfg))
+
+
 class TestLinkingEngines:
     def coordinate_circles(self, n=600):
         t = np.linspace(0, 2 * np.pi, n, endpoint=False)
@@ -916,9 +943,9 @@ class TestHopf:
         searched = []
         real = numtopo._fibers_param
 
-        def fibers(map_fn, v, config, jac_fn=None):
+        def fibers(map_fn, v, config, jac_fn=None, seeds=None):
             searched.append(tuple(v))
-            return real(map_fn, v, config, jac_fn)
+            return real(map_fn, v, config, jac_fn, seeds)
 
         monkeypatch.setattr(numtopo, "_fibers_param", fibers)
         h = hopf_invariant(northish, CFG, to_sphere=to_sphere,
@@ -926,6 +953,36 @@ class TestHopf:
         assert h == 0
         # no fiber over the first value: the second is never traced
         assert searched == [(0.0, 0.0, -1.0)]
+
+    def test_one_sweep_seeds_every_value(self):
+        values = [np.array([0.0, 0.0, 1.0]),
+                  _unit(np.array([0.2, -0.5, 0.4]))]
+        both, best = numtopo._box_seeds(column_n1, values, CFG)
+        for k, v in enumerate(values):
+            (alone,), (best_alone,) = numtopo._box_seeds(column_n1, [v], CFG)
+            assert len(alone) > 0
+            assert np.array_equal(both[k], alone)
+            assert best[k] == best_alone
+
+    def test_hopf_invariant_evaluates_the_box_grid_once(self):
+        # the sweep evaluates theta slices, (r, phi) grids; the Newton and
+        # tracer calls evaluate point lists
+        fam = FamilyMap(HalfInteger(1))
+        slices = []
+
+        def n1(theta, r, phi):
+            if np.ndim(theta) == 2:
+                slices.append(np.shape(theta))
+            return column_n1(theta, r, phi)
+
+        h = hopf_invariant(
+            n1, CFG, values=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
+            to_sphere=lambda c: fam.params.torus_chart(c[:, 0], c[:, 1],
+                                                       c[:, 2]),
+            jac_fn=column_n1_jacobian)
+        assert h == -1
+        n = CFG.degree_grid
+        assert slices == [(n, n)] * n
 
     def test_param_fibers_stay_in_the_box(self):
         # Newton carries some grid seeds to r outside (0, pi); only the two
@@ -1104,7 +1161,7 @@ class TestSelfIntersection:
         step = CFG.double_trace_step
         chords = np.diff(loop, axis=0, append=loop[:1])
         assert np.linalg.norm(chords, axis=1).max() <= step
-        system, _ = numtopo._domain_system(fam, CFG)
+        system, _ = numtopo._domain_system(fam)
         v = system(loop.reshape(-1, 4)).reshape(len(loop), 2, 6)
         residual = np.concatenate([v[:, 0, :5] - v[:, 1, :5], v[:, :, 5]],
                                   axis=1)
@@ -1127,6 +1184,29 @@ class TestSelfIntersection:
         monkeypatch.setattr(numtopo, "_double_point_seeds", junk_first)
         curves = solve_self_intersection(FamilyMap("1/2", config=CFG), CFG)
         assert len(curves) == 1 and curves[0].merged_cover
+
+    def test_double_point_seeds_keep_their_bytes(self):
+        # the far-pair test on squared distances keeps the pairs that the
+        # distances themselves kept, in the same order
+        fam = FamilyMap("1/2", config=CFG)
+        grid = numtopo._kink_disk_grid(fam.params, CFG.double_seed_rings)
+        img = fam.ambient_eval(grid)
+        dist, nbr = cKDTree(img).query(
+            img, k=13, distance_upper_bound=CFG.pair_seed_radius)
+        close = dist[:, 1:] < CFG.pair_seed_radius
+        i, j = np.nonzero(close)[0], nbr[:, 1:][close]
+        far = (np.linalg.norm(grid[i] - grid[j], axis=1)
+               > CFG.min_preimage_separation)
+        assert len(i) == 263808 and far.sum() == 4240
+        i, j = np.divmod(np.unique(np.minimum(i, j)[far] * len(grid)
+                                   + np.maximum(i, j)[far]), len(grid))
+        order = np.argsort(np.linalg.norm(img[i] - img[j], axis=1),
+                           kind="stable")
+        ref = np.concatenate([grid[i][order], grid[j][order]], axis=1)
+        seeds = numtopo._double_point_seeds(grid, img, CFG)
+        assert len(ref) == 2896
+        assert seeds.dtype == ref.dtype and seeds.shape == ref.shape
+        assert seeds.tobytes() == ref.tobytes()
 
     def test_seed_grid_must_resolve_the_traced_curve(self):
         # at this radius the grid still seeds the curve, but the nearest
@@ -1413,8 +1493,7 @@ class TestCurtainLink:
         f_* b2 moved so that the two passes stay 0.002 apart."""
         x = fam.params.chart(s, alpha, beta)
         jac = fam.ambient_jacobian(x)
-        tangent = jac @ numtopo.positive_tangent_basis(
-            lambda y: domain_constraint(y, fam.params), x, CFG)
+        tangent = jac @ numtopo.positive_tangent_basis(x, fam.params)
         n1, n2 = oriented_complement(tangent.T).T
         t2 = tangent[:, 1] / np.linalg.norm(tangent[:, 1])
         t = np.linspace(0, 2 * np.pi * folds, 300 * folds,
